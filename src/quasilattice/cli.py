@@ -2,7 +2,7 @@
 
 Subcommands: generate, windows, deform, diffract, sigma, extinctions,
 compare.  A JSON config file provides defaults, explicit flags win.  All
-output files are deterministic for a fixed config and seed: CSV headers,
+output files are deterministic for a fixed config: CSV headers,
 floats at 17 significant digits, sorted JSON keys, no timestamps.
 
 Exit codes: 0 success, 2 config or usage error, 3 numeric overflow.
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass, fields, replace
@@ -42,6 +43,7 @@ from .deform import (
     interval_ratio,
 )
 from .diffraction import (
+    ComparisonTable,
     compare_empirical_analytic,
     empirical_spectrum,
     extinction_report,
@@ -101,12 +103,15 @@ class RunConfig:
     out: str = "out"
     svg: str | None = None
     allow_overlap: bool = False
-    seed: int = 0
     count: int = 20
     shift: str | None = None
     scheme: dict | None = None
 
     def validate(self) -> None:
+        for name in ("radius", "k_max", "floor"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.radius <= 0:
             raise ConfigError("radius must be positive")
         if self.k_max <= 0:
@@ -281,7 +286,7 @@ def cmd_diffract(cfg: RunConfig) -> int:
     comb = deform_patch(patch, theta)
     emp = empirical_spectrum(comb, spec.support())
     _write(out, "spectrum_empirical.csv", emp.to_csv())
-    table = compare_empirical_analytic(comb, theta, spec.support())
+    table = ComparisonTable.from_spectra(emp, spec)
     _write(out, "comparison.csv", table.to_csv())
     summary = {
         "command": "diffract",
@@ -411,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mode", choices=("projection", "substitution"))
         p.add_argument("--count", type=int, help="number of wave numbers to compare")
         p.add_argument("--shift", help="lattice point 'm,n' = m + n*sqrt2")
-        p.add_argument("--seed", type=int, help="seed for randomized sampling")
         p.add_argument(
             "--allow-overlap",
             action="store_const",

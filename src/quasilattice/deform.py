@@ -21,7 +21,7 @@ from typing import Mapping, Sequence, Union
 
 from .cutproject import Window, silver_window
 from .quadfield import AlgebraicNumber, QuadRational
-from .substitution import LabeledPatch
+from .substitution import LabeledPatch, _csv
 
 Position = Union[AlgebraicNumber, float]
 ExactScalar = Union[int, Fraction, AlgebraicNumber, QuadRational]
@@ -249,25 +249,17 @@ class DiracComb:
         return [p for p in self.points if lo <= p.position_float() <= hi]
 
     def to_csv(self) -> str:
-        lines = ["position_float,a,b,c,label,weight_re,weight_im"]
-        for p in self.points:
-            w = complex(p.weight)
-            if isinstance(p.position, AlgebraicNumber):
-                abc = [str(p.position.a), str(p.position.b), str(p.position.c)]
+        def row(p: CombPoint) -> tuple:
+            pos, w = p.position, complex(p.weight)
+            if isinstance(pos, AlgebraicNumber):
+                abc = (pos.a, pos.b, pos.c)
             else:
-                abc = ["", "", ""]
-            lines.append(
-                ",".join(
-                    [
-                        "%.17g" % p.position_float(),
-                        *abc,
-                        "",
-                        "%.17g" % w.real,
-                        "%.17g" % w.imag,
-                    ]
-                )
-            )
-        return "\n".join(lines) + "\n"
+                abc = ("", "", "")
+            return (p.position_float(), *abc, "", w.real, w.imag)
+
+        return _csv(
+            "position_float,a,b,c,label,weight_re,weight_im", map(row, self.points)
+        )
 
     @classmethod
     def from_patch(cls, patch: LabeledPatch) -> DiracComb:

@@ -20,12 +20,10 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -39,30 +37,14 @@ from .deform import (
     _scalar_float,
 )
 from .quadfield import AlgebraicNumber, QuadRational, enumerate_dual
+from .substitution import _csv
 
 _SQRT2 = math.sqrt(2.0)
 _TWO_SQRT2 = 2.0 * _SQRT2
 _GL_ORDER = 8
-_T = TypeVar("_T")
 
 DEFAULT_PANELS = 4096
 DEFAULT_INTENSITY_FLOOR = 1e-8
-
-
-def worker_count() -> int:
-    """Parallelism cap from QUASILATTICE_THREADS (default: sequential)."""
-    try:
-        return max(1, int(os.environ.get("QUASILATTICE_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _ordered_map(fn: Callable[..., _T], items: Sequence) -> list[_T]:
-    n = worker_count()
-    if n <= 1 or len(items) < 4:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 def compensated_sum(values: Iterable[complex]) -> complex:
@@ -179,6 +161,14 @@ def amplitude_quadrature(
     return complex(np.dot(w, phase)) / _TWO_SQRT2
 
 
+def _analytic_amplitude(k: AlgebraicNumber, theta: DeformationMap) -> tuple[complex, str]:
+    """(amplitude, source): the closed form for affine theta, quadrature
+    for every other deformation."""
+    if isinstance(theta, AffineDeformation):
+        return amplitude_closed(k, theta.alpha, theta.beta), "closed_form"
+    return amplitude_quadrature(k, theta), "quadrature"
+
+
 def autocorrelation_finite(comb: DiracComb, max_points: int = 20000) -> DiracComb:
     """Sum over ordered pairs of conj(w_x) w_y at position y - x, divided by
     the averaging length 2*radius.  Positions stay exact for exact combs."""
@@ -255,23 +245,14 @@ class Spectrum:
         return None
 
     def to_csv(self) -> str:
-        lines = ["k_float,k_a,k_b,k_c,amp_re,amp_im,intensity,source"]
-        for e in self.entries:
-            lines.append(
-                ",".join(
-                    [
-                        "%.17g" % e.k.value(),
-                        str(e.k.a),
-                        str(e.k.b),
-                        str(e.k.c),
-                        "%.17g" % e.amplitude.real,
-                        "%.17g" % e.amplitude.imag,
-                        "%.17g" % e.intensity,
-                        e.source,
-                    ]
-                )
-            )
-        return "\n".join(lines) + "\n"
+        return _csv(
+            "k_float,k_a,k_b,k_c,amp_re,amp_im,intensity,source",
+            (
+                (e.k.value(), e.k.a, e.k.b, e.k.c, e.amplitude.real,
+                 e.amplitude.imag, e.intensity, e.source)
+                for e in self.entries
+            ),
+        )
 
     def to_json(self) -> list[dict]:
         return [
@@ -316,21 +297,12 @@ def spectrum_scan(
     if intensity_floor < 0:
         raise ValueError("intensity_floor must be >= 0")
     bound = scan_internal_bound(theta, k_max, intensity_floor)
-    ks = enumerate_dual(k_max, bound)
-    affine = isinstance(theta, AffineDeformation)
-
-    def one(k: AlgebraicNumber) -> SpectrumEntry:
-        if affine:
-            amp = amplitude_closed(k, theta.alpha, theta.beta)
-            source = "closed_form"
-        else:
-            amp = amplitude_quadrature(k, theta)
-            source = "quadrature"
-        return SpectrumEntry(k, amp, abs(amp) ** 2, source)
-
-    entries = [
-        e for e in _ordered_map(one, ks) if e.intensity >= intensity_floor
-    ]
+    entries = []
+    for k in enumerate_dual(k_max, bound):
+        amp, source = _analytic_amplitude(k, theta)
+        intensity = abs(amp) ** 2
+        if intensity >= intensity_floor:
+            entries.append(SpectrumEntry(k, amp, intensity, source))
     return Spectrum(tuple(entries), k_max, intensity_floor)
 
 
@@ -338,12 +310,10 @@ def empirical_spectrum(
     comb: DiracComb, k_values: Sequence[AlgebraicNumber]
 ) -> Spectrum:
     """Weyl-sum amplitudes of a finite comb at the given wave numbers."""
-
-    def one(k: AlgebraicNumber) -> SpectrumEntry:
+    entries = []
+    for k in k_values:
         s = weyl_sum(comb, k)
-        return SpectrumEntry(k, s, abs(s) ** 2, "empirical")
-
-    entries = _ordered_map(one, list(k_values))
+        entries.append(SpectrumEntry(k, s, abs(s) ** 2, "empirical"))
     kmax = max((abs(k.value()) for k in k_values), default=0.0)
     return Spectrum(tuple(entries), kmax, 0.0)
 
@@ -352,6 +322,7 @@ def empirical_spectrum(
 class ExtinctionReport:
     alpha: QuadRational
     k_max: float
+    kstar_max: float
     extinctions: tuple[AlgebraicNumber, ...]
     survivors: tuple[AlgebraicNumber, ...]
     span: str
@@ -361,6 +332,7 @@ class ExtinctionReport:
         return {
             "alpha": str(self.alpha),
             "k_max": self.k_max,
+            "kstar_max": self.kstar_max,
             "extinctions": [k.to_json() for k in self.extinctions],
             "extinction_floats": [k.value() for k in self.extinctions],
             "survivor_count": len(self.survivors),
@@ -413,11 +385,15 @@ def extinction_report(
     a wave number is extinct when z/pi = (alpha*k - k*)*sqrt2 is a nonzero
     integer, decided without floats.  The Z-span of the survivors is
     classified: half-integers for alpha = 1, the full dual module
-    otherwise (extinctions never thin the span below that).
+    otherwise (extinctions never thin the span below that).  The report
+    records the |star(k)| bound it enumerated under, max(2*k_max, 1) when
+    none is given, so the scan can be rerun from the report alone.
     """
     if not _is_exact(alpha):
         raise TypeError("alpha must be given exactly (int, Fraction, AlgebraicNumber, QuadRational)")
     aq = QuadRational.of(alpha)
+    if kstar_max is None:
+        kstar_max = max(2.0 * k_max, 1.0)
     extinct: list[AlgebraicNumber] = []
     survive: list[AlgebraicNumber] = []
     for k in enumerate_dual(k_max, kstar_max):
@@ -435,7 +411,7 @@ def extinction_report(
     else:
         span = SPAN_SUBLATTICE
     return ExtinctionReport(
-        aq, k_max, tuple(extinct), tuple(survive), span, basis
+        aq, k_max, kstar_max, tuple(extinct), tuple(survive), span, basis
     )
 
 
@@ -464,23 +440,27 @@ class ComparisonTable:
             return 0.0
         return math.sqrt(sum(r.error**2 for r in self.rows) / len(self.rows))
 
-    def to_csv(self) -> str:
-        lines = ["k_float,emp_re,emp_im,ana_re,ana_im,abs_error"]
-        for r in self.rows:
-            lines.append(
-                ",".join(
-                    "%.17g" % v
-                    for v in (
-                        r.k.value(),
-                        r.empirical.real,
-                        r.empirical.imag,
-                        r.analytic.real,
-                        r.analytic.imag,
-                        r.error,
-                    )
-                )
+    @classmethod
+    def from_spectra(cls, empirical: Spectrum, analytic: Spectrum) -> ComparisonTable:
+        """Pair the entries of two spectra taken over the same support."""
+        if empirical.support() != analytic.support():
+            raise ValueError("spectra to compare must share their support, in order")
+        return cls(
+            tuple(
+                ComparisonRow(e.k, e.amplitude, a.amplitude)
+                for e, a in zip(empirical.entries, analytic.entries)
             )
-        return "\n".join(lines) + "\n"
+        )
+
+    def to_csv(self) -> str:
+        return _csv(
+            "k_float,emp_re,emp_im,ana_re,ana_im,abs_error",
+            (
+                (r.k.value(), r.empirical.real, r.empirical.imag,
+                 r.analytic.real, r.analytic.imag, r.error)
+                for r in self.rows
+            ),
+        )
 
 
 def compare_empirical_analytic(
@@ -488,16 +468,12 @@ def compare_empirical_analytic(
 ) -> ComparisonTable:
     """Per-k error table between the Weyl sum of a deformed comb and the
     analytic amplitude of the deformation."""
-
-    def one(k: AlgebraicNumber) -> ComparisonRow:
-        emp = weyl_sum(comb, k)
-        if isinstance(theta, AffineDeformation):
-            ana = amplitude_closed(k, theta.alpha, theta.beta)
-        else:
-            ana = amplitude_quadrature(k, theta)
-        return ComparisonRow(k, emp, ana)
-
-    return ComparisonTable(tuple(_ordered_map(one, list(k_list))))
+    return ComparisonTable(
+        tuple(
+            ComparisonRow(k, weyl_sum(comb, k), _analytic_amplitude(k, theta)[0])
+            for k in k_list
+        )
+    )
 
 
 def leading_dual_elements(count: int, k_max: float = 2.0) -> list[AlgebraicNumber]:

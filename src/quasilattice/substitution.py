@@ -17,6 +17,17 @@ from .quadfield import ONE, SILVER_MEAN, ZERO, AlgebraicNumber
 _FLOAT_FMT = "%.17g"
 
 
+def _csv(header: str, rows: Iterable[Iterable[object]]) -> str:
+    """CSV text with a header line; floats get 17 significant digits,
+    everything else its str(), and the text ends in a newline."""
+    lines = [header]
+    lines.extend(
+        ",".join(_FLOAT_FMT % v if isinstance(v, float) else str(v) for v in row)
+        for row in rows
+    )
+    return "\n".join(lines) + "\n"
+
+
 class PatchPoint(NamedTuple):
     position: AlgebraicNumber
     label: str | None
@@ -194,23 +205,13 @@ class LabeledPatch:
         return LabeledPatch(pts, radius)
 
     def to_csv(self) -> str:
-        lines = ["position_float,a,b,c,label,weight_re,weight_im"]
-        for p in self.points:
-            w = complex(p.weight)
-            lines.append(
-                ",".join(
-                    [
-                        _FLOAT_FMT % p.position.value(),
-                        str(p.position.a),
-                        str(p.position.b),
-                        str(p.position.c),
-                        p.label or "",
-                        _FLOAT_FMT % w.real,
-                        _FLOAT_FMT % w.imag,
-                    ]
-                )
-            )
-        return "\n".join(lines) + "\n"
+        def row(p: PatchPoint) -> tuple:
+            pos, w = p.position, complex(p.weight)
+            return (pos.value(), pos.a, pos.b, pos.c, p.label or "", w.real, w.imag)
+
+        return _csv(
+            "position_float,a,b,c,label,weight_re,weight_im", map(row, self.points)
+        )
 
     @classmethod
     def from_points(

@@ -153,6 +153,16 @@ class TestExtinctions:
     def test_float_alpha_exits_2(self, tmp_path):
         assert run("extinctions", "--alpha", "0.5", "--kmax", "2", "--out", str(tmp_path)) == 2
 
+    def test_report_reproducible_from_its_bound(self, tmp_path):
+        from quasilattice.diffraction import extinction_report
+        from quasilattice.quadfield import parse_exact
+
+        out = tmp_path / "ext"
+        assert run("extinctions", "--alpha", "1+sqrt2", "--kmax", "4", "--out", str(out)) == 0
+        doc = json.loads(read(out / "extinctions.json"))
+        again = extinction_report(parse_exact("1+sqrt2"), doc["k_max"], doc["kstar_max"])
+        assert [k.to_json() for k in again.extinctions] == doc["extinctions"]
+
 
 class TestCompare:
     def test_small_run(self, tmp_path):
@@ -168,6 +178,15 @@ class TestCompare:
 
 
 class TestConfigHandling:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "flag, field", [("--radius", "radius"), ("--kmax", "k_max"), ("--floor", "floor")]
+    )
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, flag, field, value):
+        # "--flag=value" form, since argparse reads a bare "-inf" as an option
+        assert run("diffract", f"{flag}={value}", "--out", str(tmp_path)) == 2
+        assert f"{field} must be finite" in capsys.readouterr().err
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfgfile = tmp_path / "run.json"
         cfgfile.write_text(json.dumps({"radius": 50.0, "out": str(tmp_path / "a")}))

@@ -10,10 +10,12 @@ from quasilattice.deform import (
     AffineDeformation,
     DiracComb,
     PiecewiseLinearDeformation,
+    deform_patch,
 )
 from quasilattice.diffraction import (
     SPAN_FULL_DUAL,
     SPAN_HALF_INTEGERS,
+    ComparisonTable,
     amplitude_closed,
     amplitude_quadrature,
     autocorrelation_finite,
@@ -253,6 +255,15 @@ class TestExtinctions:
         with pytest.raises(TypeError):
             extinction_report(0.5, 2.0)
 
+    def test_report_carries_its_enumeration_bound(self):
+        default = extinction_report(1, 1.0)
+        assert default.kstar_max == 2.0
+        wide = extinction_report(1, 1.0, 6.0)
+        assert wide.to_json()["kstar_max"] == 6.0
+        assert len(wide.extinctions) > len(default.extinctions)
+        again = extinction_report(1, 1.0, wide.to_json()["kstar_max"])
+        assert again.extinctions == wide.extinctions
+
 
 class TestComparison:
     def test_empty_list(self, comb_r1000):
@@ -273,6 +284,30 @@ class TestComparison:
         assert lines[0].startswith("k_float,emp_re")
         assert len(lines) == 4
 
+    @pytest.mark.parametrize(
+        "theta",
+        [
+            AffineDeformation(A(3, -2, 1), 0),
+            AffineDeformation(0.5, 0.1),
+            PiecewiseLinearDeformation(((-0.8, 0.0), (0.1, 0.05), (0.8, 0.0))),
+        ],
+        ids=["exact-affine", "float-affine", "pwl"],
+    )
+    def test_from_spectra_matches_direct_comparison(self, patch_r100, theta):
+        comb = deform_patch(patch_r100, theta)
+        spec = spectrum_scan(theta, 1.0, 1e-4)
+        ks = spec.support()
+        assert ks
+        table = ComparisonTable.from_spectra(empirical_spectrum(comb, ks), spec)
+        assert table == compare_empirical_analytic(comb, theta, ks)
+
+    def test_from_spectra_rejects_mismatched_support(self, comb_r1000):
+        spec = spectrum_scan(AffineDeformation(0.5, 0), 1.0, 1e-4)
+        ks = spec.support()
+        for other in (ks[:-1], ks[::-1]):
+            with pytest.raises(ValueError):
+                ComparisonTable.from_spectra(empirical_spectrum(comb_r1000, other), spec)
+
 
 def test_leading_dual_elements_ordering():
     ks = leading_dual_elements(9)
@@ -286,11 +321,3 @@ def test_empirical_spectrum_sources(comb_r1000):
     spec = empirical_spectrum(comb_r1000, leading_dual_elements(4))
     assert all(e.source == "empirical" for e in spec.entries)
     assert len(spec) == 4
-
-
-def test_thread_cap_is_result_invariant(monkeypatch):
-    theta = AffineDeformation(0.5, 0.0)
-    sequential = spectrum_scan(theta, 2.0, 1e-5)
-    monkeypatch.setenv("QUASILATTICE_THREADS", "4")
-    threaded = spectrum_scan(theta, 2.0, 1e-5)
-    assert threaded.entries == sequential.entries

@@ -7,6 +7,7 @@ from quasilattice.substitution import (
     LabeledPatch,
     PatchPoint,
     SubstitutionRule,
+    _csv,
     fixed_point_patch,
     pf_data,
     silver_mean_rule,
@@ -149,6 +150,13 @@ def test_patch_csv():
     row = lines[1].split(",")
     assert row[1:4] == ["-3", "-2", "1"]  # leftmost point -(3+2*sqrt2)
     assert row[4] == "a"
+
+
+def test_csv_helper_format():
+    assert _csv("x,n,s", [(0.1, -3, "a"), (1.0, 0, "")]) == (
+        "x,n,s\n0.10000000000000001,-3,a\n1,0,\n"
+    )
+    assert _csv("x", []) == "x\n"
 
 
 def test_trim_and_translate():
