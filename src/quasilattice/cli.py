@@ -58,6 +58,7 @@ from .quadfield import (
 )
 from .substitution import (
     LabeledPatch,
+    fixed_point_extent,
     fixed_point_patch,
     rule_from_json,
     silver_mean_rule,
@@ -182,11 +183,9 @@ def _build_patch(cfg: RunConfig) -> LabeledPatch:
     if cfg.mode == "substitution":
         rule = cfg.rule()
         level = 0
-        patch = fixed_point_patch(level, rule)
-        while patch.radius_float < cfg.radius:
+        while fixed_point_extent(level, rule).value() < cfg.radius:
             level += 1
-            patch = fixed_point_patch(level, rule)
-        return patch.trim(cfg.radius)
+        return fixed_point_patch(level, rule).trim(cfg.radius)
     return project_patch(cfg.radius, window, subs)
 
 
@@ -204,15 +203,14 @@ def cmd_generate(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     _write(out, "patch.csv", patch.to_csv())
     dens = len(patch) / (2.0 * cfg.radius)
-    lo = patch.points[0].position.value() if patch.points else 0.0
-    hi = patch.points[-1].position.value() if patch.points else 0.0
+    ends = patch.positions_float()[[0, -1]].tolist() if len(patch) else [0.0, 0.0]
     summary = {
         "command": "generate",
         "mode": cfg.mode,
         "radius": cfg.radius,
         "point_count": len(patch),
         "density": dens,
-        "extent": [lo, hi],
+        "extent": ends,
     }
     _write(out, "summary.json", _json_text(summary))
     print(f"generate: {len(patch)} points, density {dens:.6f}")

@@ -20,15 +20,23 @@ from dataclasses import dataclass
 from functools import cmp_to_key
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .quadfield import (
+    COLUMN_LIMIT,
     SILVER_MEAN_CONJ,
     ZERO,
     AlgebraicNumber,
-    _sign_pair,
+    CoefficientOverflowError,
+    column_signs,
+    column_values,
+    column_within,
 )
 from .substitution import LabeledPatch
 
 Interval = tuple[AlgebraicNumber, AlgebraicNumber]
+
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -73,6 +81,14 @@ class Window:
             if (y - lo).sign() >= 0 and (hi - y).sign() >= 0:
                 return True
         return False
+
+    def mask(self, a4: np.ndarray, b4: np.ndarray) -> np.ndarray:
+        """contains() over the column points (a4 + b4*sqrt2)/4, elementwise."""
+        inside = np.zeros(len(a4), dtype=bool)
+        for lo, hi in self.intervals:
+            (la, lb), (ha, hb) = lo.quarter(), hi.quarter()
+            inside |= (column_signs(a4 - la, b4 - lb) >= 0) & (column_signs(ha - a4, hb - b4) >= 0)
+        return inside
 
     def total_length(self) -> AlgebraicNumber:
         acc = ZERO
@@ -322,7 +338,9 @@ def project_patch(
     Defaults to the silver-mean window with its per-letter split.  The
     scan runs over m = (x + x*)/2; for each m the window pins n*sqrt2
     into an interval of the window's length, so the enumeration is
-    provably complete with a constant number of candidates per m.
+    provably complete with a constant number of candidates per m.  Floats
+    only pick the candidates and sort the points; membership, labels and
+    the radius are decided exactly, on whole columns.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -331,45 +349,40 @@ def project_patch(
         if subwindows is None:
             subwindows = silver_subwindows()
     if window.is_empty():
-        return LabeledPatch((), radius)
+        return LabeledPatch.from_points((), radius)
     lo_b, hi_b = window.bounds()
     w_abs = max(abs(lo_b.value()), abs(hi_b.value()))
     sub_items = sorted(subwindows.items()) if subwindows else []
-    # integer sign tests against (p + q*sqrt2)/c endpoints, for speed
-    iv_raw = [
-        ((lo.a, lo.b, lo.c), (hi.a, hi.b, hi.c)) for lo, hi in window.intervals
-    ]
-    pts: list[tuple[AlgebraicNumber, str | None]] = []
-    sqrt2 = math.sqrt(2.0)
     m_hi = int(math.floor((radius + w_abs) / 2.0)) + 2
-    for m in range(-m_hi, m_hi + 1):
-        n_lo = int(math.floor((m - hi_b.value()) / sqrt2)) - 1
-        n_hi = int(math.ceil((m - lo_b.value()) / sqrt2)) + 1
-        for n in range(n_lo, n_hi + 1):
-            inside = False
-            for (la, lb, lc), (ha, hb, hc) in iv_raw:
-                # star = m - n*sqrt2;  star - lo and hi - star must be >= 0
-                if (
-                    _sign_pair(m * lc - la, -n * lc - lb) >= 0
-                    and _sign_pair(ha - m * hc, hb + n * hc) >= 0
-                ):
-                    inside = True
-                    break
-            if not inside:
-                continue
-            x = AlgebraicNumber(m, n, 1)
-            if abs(x).cmp_float(radius) > 0:
-                continue
-            label: str | None = None
-            if sub_items:
-                st = x.star()
-                for name, sub in sub_items:
-                    if sub.contains(st):
-                        label = name
-                        break
-            pts.append((x, label))
-    pts.sort(key=lambda item: item[0].value())
-    return LabeledPatch.from_points(pts, radius)
+    # every sign-test operand is a candidate coefficient (|m|, |n| <= m_hi + 2)
+    # plus a window endpoint coefficient; refuse before allocating
+    ends = [e for w in (window, *(sub for _, sub in sub_items)) for iv in w.intervals for e in iv]
+    reach = 4 * (m_hi + 2) + max(abs(v) for e in ends for v in e.quarter())
+    if reach >= COLUMN_LIMIT:
+        raise CoefficientOverflowError(f"radius {radius} needs coefficients beyond 2**31")
+    # candidates: per m, the n with m - n*sqrt2 in [lo, hi], widened by a
+    # slack far above the float rounding (about 5e-16 relative) so that no
+    # solution is lost; membership itself is decided exactly below
+    m = np.arange(-m_hi, m_hi + 1, dtype=np.int64)
+    slack = 1e-12 * (m_hi + w_abs + 1.0)
+    n_lo = np.ceil((m - hi_b.value()) / _SQRT2 - slack).astype(np.int64)
+    n_hi = np.floor((m - lo_b.value()) / _SQRT2 + slack).astype(np.int64)
+    count = n_hi - n_lo + 1
+    first = np.cumsum(count) - count
+    a4 = 4 * np.repeat(m, count)
+    b4 = 4 * (np.arange(count.sum(), dtype=np.int64) + np.repeat(n_lo - first, count))
+    keep = window.mask(a4, -b4)
+    a4, b4 = a4[keep], b4[keep]
+    keep = column_within(a4, b4, radius)
+    a4, b4 = a4[keep], b4[keep]
+    label = np.full(len(a4), None, dtype=object)
+    free = np.ones(len(a4), dtype=bool)
+    for name, sub in sub_items:
+        hit = free & sub.mask(a4, -b4)
+        label[hit] = name
+        free &= ~hit
+    order = np.argsort(column_values(a4, b4), kind="stable")
+    return LabeledPatch(a4[order], b4[order], label[order], radius)
 
 
 def sigma_estimate(patch: LabeledPatch, window: Window) -> Window:
@@ -380,13 +393,14 @@ def sigma_estimate(patch: LabeledPatch, window: Window) -> Window:
     empty intersection means the patch is not a restriction of any model
     set of this window.
     """
-    if not patch.points:
+    if not len(patch):
         raise ValueError("patch is empty")
-    if not any(p.position.is_zero() for p in patch.points):
+    if not ((patch.a4 == 0) & (patch.b4 == 0)).any():
         raise ValueError("patch must contain the origin")
     region = window
-    for p in patch.points:
-        region = region.intersect(window.translate(-p.position.star()))
+    for a4, b4 in zip(patch.a4.tolist(), patch.b4.tolist()):
+        # window - star(y), with -star(y) = (-a4 + b4*sqrt2)/4
+        region = region.intersect(window.translate(AlgebraicNumber(-a4, b4, 4)))
         if region.is_empty():
             raise ValueError("empty intersection: patch is not compatible with the window")
     return region

@@ -263,7 +263,7 @@ class DiracComb:
 
     @classmethod
     def from_patch(cls, patch: LabeledPatch) -> DiracComb:
-        pts = tuple(CombPoint(p.position, p.weight) for p in patch.points)
+        pts = tuple(CombPoint(x, 1.0 + 0.0j) for x in patch.positions())
         return cls(pts, patch.radius_float)
 
     @classmethod
@@ -303,15 +303,21 @@ def _merge_points(raw: list[tuple[Position, complex]]) -> list[CombPoint]:
 
 
 def deform_patch(patch: LabeledPatch, theta: DeformationMap) -> DiracComb:
-    """{x + theta(star(x))} over the patch, weights carried along."""
+    """{x + theta(star(x))} over the patch, each point of unit weight.
+
+    The comb holds one kind of position: exact when every shift is exact,
+    float otherwise (an exact theta gives float shifts where its values
+    leave the quarter-integers)."""
     raw: list[tuple[Position, complex]] = []
-    for p in patch.points:
-        shift = theta.evaluate(p.position.star())
+    for x in patch.positions():
+        shift = theta.evaluate(x.star())
         if isinstance(shift, AlgebraicNumber):
-            pos: Position = p.position + shift
+            pos: Position = x + shift
         else:
-            pos = p.position.value() + shift
-        raw.append((pos, p.weight))
+            pos = x.value() + shift
+        raw.append((pos, 1.0 + 0.0j))
+    if not all(isinstance(pos, AlgebraicNumber) for pos, _ in raw):
+        raw = [(float(pos), w) for pos, w in raw]
     return DiracComb(tuple(_merge_points(raw)), patch.radius_float)
 
 
@@ -405,14 +411,20 @@ KernelRule = Union[FixedKernel, LocalKernel]
 def local_configuration(
     positions: Sequence[float], index: int, local_radius: float
 ) -> tuple[float, ...]:
-    """Canonical key: sorted differences to comb points within local_radius."""
+    """Canonical key: sorted differences to comb points within local_radius.
+
+    ``positions`` must be sorted ascending: bisection finds a slightly wider
+    run of candidates, and the filter then keeps exactly the points within
+    local_radius.
+    """
     center = positions[index]
-    out = [
-        round(p - center, 9)
-        for p in positions
-        if abs(p - center) <= local_radius + 1e-12
-    ]
-    return tuple(sorted(out))
+    reach = local_radius + 1e-12
+    slack = 1e-9 * (abs(center) + reach)
+    lo = bisect.bisect_left(positions, center - reach - slack)
+    hi = bisect.bisect_right(positions, center + reach + slack)
+    return tuple(sorted(
+        round(p - center, 9) for p in positions[lo:hi] if abs(p - center) <= reach
+    ))
 
 
 def deform_measure(comb: DiracComb, rule: KernelRule) -> DiracComb:

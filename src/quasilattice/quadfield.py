@@ -5,6 +5,9 @@ lattice data: quarter-integers (a + b*sqrt2)/c with c in {1, 2, 4} and
 64-bit checked integer coefficients.  Every point of the physical chain,
 every window endpoint and every dual-module wave number is one of these,
 so set membership and ordering decisions never touch floating point.
+Point sets store the same numbers as int64 columns of quarter-scaled
+coefficients (a4 + b4*sqrt2)/4; the ``column_*`` functions are the
+elementwise forms of the scalar sign test, embedding and radius check.
 ``QuadRational`` is a Fraction-coefficient element of Q(sqrt2) used where
 arbitrary rational coefficients occur (exact extinction tests).
 """
@@ -17,9 +20,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 
+import numpy as np
+
 _SQRT2_FLOAT = math.sqrt(2.0)
 _INT64_MAX = 2**63 - 1
 _ALLOWED_DENOMS = (1, 2, 4)
+# bound on |p| and |q| in an int64 sign test of p + q*sqrt2: below it,
+# p*p - 2*q*q cannot overflow
+COLUMN_LIMIT = 2**31
+# relative distance to a float radius inside which the float embedding
+# cannot decide |x| <= radius (its rounding error is below 2**-50)
+_RADIUS_EDGE = 2.0**-30
 
 
 class CoefficientOverflowError(OverflowError):
@@ -191,10 +202,14 @@ class AlgebraicNumber:
         """(m, n) with self = m + n*sqrt2, or None if not in Z[sqrt2]."""
         return (self.a, self.b) if self.c == 1 else None
 
+    def quarter(self) -> tuple[int, int]:
+        """(a4, b4) with self = (a4 + b4*sqrt2)/4."""
+        f = 4 // self.c
+        return self.a * f, self.b * f
+
     def dual_coords(self) -> tuple[int, int] | None:
         """(m, n) with self = (2m + n*sqrt2)/4, or None if not in the dual module."""
-        f = 4 // self.c
-        a4, b4 = self.a * f, self.b * f
+        a4, b4 = self.quarter()
         if a4 % 2:
             return None
         return (a4 // 2, b4)
@@ -211,6 +226,54 @@ ONE = AlgebraicNumber(1, 0, 1)
 SQRT2 = AlgebraicNumber(0, 1, 1)
 SILVER_MEAN = AlgebraicNumber(1, 1, 1)        # 1 + sqrt2
 SILVER_MEAN_CONJ = AlgebraicNumber(1, -1, 1)  # 1 - sqrt2
+
+
+def check_columns(*cols: np.ndarray) -> None:
+    """Raise CoefficientOverflowError if an entry reaches COLUMN_LIMIT in magnitude."""
+    for col in cols:
+        if col.size and (col.max() >= COLUMN_LIMIT or col.min() <= -COLUMN_LIMIT):
+            raise CoefficientOverflowError(
+                f"quarter-scaled coefficient beyond 2**31 (max |v| = {np.abs(col).max()})"
+            )
+
+
+def column_signs(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Exact sign of p + q*sqrt2, elementwise; the array form of _sign_pair."""
+    check_columns(p, q)
+    d = p * p - 2 * q * q
+    return np.where(p * q < 0, np.sign(p) * np.sign(d), np.sign(p + q))
+
+
+def column_values(a4: np.ndarray, b4: np.ndarray) -> np.ndarray:
+    """Float embedding of (a4 + b4*sqrt2)/4, elementwise; bit-equal to
+    AlgebraicNumber.value."""
+    check_columns(a4, b4)
+    a, b = a4.astype(np.float64), b4.astype(np.float64)
+    out = (a + b * _SQRT2_FLOAT) / 4
+    opp = np.flatnonzero(a4 * b4 < 0)
+    p, q = a4[opp], b4[opp]
+    out[opp] = (p * p - 2 * q * q) / (a[opp] - b[opp] * _SQRT2_FLOAT) / 4
+    return out
+
+
+def column_within(
+    a4: np.ndarray, b4: np.ndarray, radius: float | AlgebraicNumber
+) -> np.ndarray:
+    """Exact |x| <= radius for x = (a4 + b4*sqrt2)/4, elementwise.
+
+    An exact radius is two sign tests.  Against a float radius the
+    embedding decides, except within rounding distance of the radius,
+    where the scalar cmp_float does.
+    """
+    if isinstance(radius, AlgebraicNumber):
+        ra, rb = radius.quarter()
+        return (column_signs(ra - a4, rb - b4) >= 0) & (column_signs(ra + a4, rb + b4) >= 0)
+    v = np.abs(column_values(a4, b4))
+    inside = v <= radius
+    for i in np.flatnonzero(np.abs(v - radius) <= _RADIUS_EDGE * radius):
+        x = AlgebraicNumber(int(a4[i]), int(b4[i]), 4)
+        inside[i] = abs(x).cmp_float(radius) <= 0
+    return inside
 
 
 def star(x: AlgebraicNumber) -> AlgebraicNumber:

@@ -10,9 +10,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Mapping, NamedTuple
 
-from .quadfield import ONE, SILVER_MEAN, ZERO, AlgebraicNumber
+import numpy as np
+
+from .quadfield import (
+    COLUMN_LIMIT,
+    ONE,
+    SILVER_MEAN,
+    ZERO,
+    AlgebraicNumber,
+    CoefficientOverflowError,
+    check_columns,
+    column_signs,
+    column_values,
+    column_within,
+)
 
 _FLOAT_FMT = "%.17g"
 
@@ -148,30 +163,36 @@ def _sqrt_of_twice_square(disc: int) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabeledPatch:
     """Finite sorted point set in [-radius, radius] with letter labels.
 
-    The radius may itself be an AlgebraicNumber (substitution patches have
-    irrational extent), in which case the containment check is exact.
+    Stored as columns: point i is (a4[i] + b4[i]*sqrt2)/4 with label
+    label[i], the coefficients in int64 below 2**31 in magnitude
+    (CoefficientOverflowError otherwise), the columns read-only.  The
+    radius may itself be an AlgebraicNumber (substitution patches have
+    irrational extent); every check is exact either way.
     """
 
-    points: tuple[PatchPoint, ...]
+    a4: np.ndarray
+    b4: np.ndarray
+    label: np.ndarray  # object column of str | None
     radius: float | AlgebraicNumber
 
     def __post_init__(self) -> None:
-        prev: AlgebraicNumber | None = None
-        for p in self.points:
-            if prev is not None and (p.position - prev).sign() <= 0:
-                raise ValueError("positions must be strictly increasing")
-            if self._outside(p.position):
-                raise ValueError("position outside [-radius, radius]")
-            prev = p.position
-
-    def _outside(self, pos: AlgebraicNumber) -> bool:
-        if isinstance(self.radius, AlgebraicNumber):
-            return (abs(pos) - self.radius).sign() > 0
-        return abs(pos).cmp_float(self.radius) > 0
+        a4 = np.asarray(self.a4, dtype=np.int64)
+        b4 = np.asarray(self.b4, dtype=np.int64)
+        label = np.asarray(self.label, dtype=object)
+        if a4.ndim != 1 or a4.shape != b4.shape or a4.shape != label.shape:
+            raise ValueError("a4, b4 and label must be columns of one length")
+        check_columns(a4, b4)
+        if (column_signs(np.diff(a4), np.diff(b4)) <= 0).any():
+            raise ValueError("positions must be strictly increasing")
+        if not column_within(a4, b4, self.radius).all():
+            raise ValueError("position outside [-radius, radius]")
+        for name, col in (("a4", a4), ("b4", b4), ("label", label)):
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
 
     @property
     def radius_float(self) -> float:
@@ -179,39 +200,61 @@ class LabeledPatch:
         return r.value() if isinstance(r, AlgebraicNumber) else float(r)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.a4)
+
+    @cached_property
+    def points(self) -> tuple[PatchPoint, ...]:
+        """The points as unit-weight PatchPoint objects, built on first use."""
+        return tuple(
+            PatchPoint(pos, label, 1.0 + 0.0j)
+            for pos, label in zip(self.positions(), self.label.tolist())
+        )
 
     def positions(self) -> list[AlgebraicNumber]:
-        return [p.position for p in self.points]
+        """The positions as AlgebraicNumber objects, built on each call."""
+        return [AlgebraicNumber(a, b, 4) for a, b in zip(self.a4.tolist(), self.b4.tolist())]
+
+    def positions_float(self) -> np.ndarray:
+        return column_values(self.a4, self.b4)
 
     def labels(self) -> list[str | None]:
-        return [p.label for p in self.points]
+        return self.label.tolist()
 
     def translate(self, t: AlgebraicNumber) -> LabeledPatch:
         """Shift every point by t; the radius grows to keep points inside."""
-        pts = tuple(PatchPoint(p.position + t, p.label, p.weight) for p in self.points)
+        ta, tb = t.quarter()
+        a4, b4 = self.a4 + ta, self.b4 + tb
         if isinstance(self.radius, AlgebraicNumber):
-            return LabeledPatch(pts, self.radius + abs(t))
+            return LabeledPatch(a4, b4, self.label, self.radius + abs(t))
         r = self.radius + abs(float(t))
-        if pts:
-            extreme = max(abs(pts[0].position), abs(pts[-1].position))
+        if len(a4):
+            check_columns(a4, b4)  # before the loop below walks r up to the extremes
+            ends = (AlgebraicNumber(int(a4[i]), int(b4[i]), 4) for i in (0, -1))
+            extreme = max(abs(x) for x in ends)
             while extreme.cmp_float(r) > 0:
                 r = math.nextafter(r, math.inf)
-        return LabeledPatch(pts, r)
+        return LabeledPatch(a4, b4, self.label, r)
 
     def trim(self, radius: float | AlgebraicNumber) -> LabeledPatch:
-        trial = LabeledPatch((), radius)
-        pts = tuple(p for p in self.points if not trial._outside(p.position))
-        return LabeledPatch(pts, radius)
+        keep = column_within(self.a4, self.b4, radius)
+        return LabeledPatch(self.a4[keep], self.b4[keep], self.label[keep], radius)
 
     def to_csv(self) -> str:
-        def row(p: PatchPoint) -> tuple:
-            pos, w = p.position, complex(p.weight)
-            return (pos.value(), pos.a, pos.b, pos.c, p.label or "", w.real, w.imag)
-
-        return _csv(
-            "position_float,a,b,c,label,weight_re,weight_im", map(row, self.points)
+        # the reduced (a, b, c) of each position, as AlgebraicNumber stores it
+        a, b, c = self.a4, self.b4, np.full(len(self), 4, dtype=np.int64)
+        for _ in range(2):
+            half = (a % 2 == 0) & (b % 2 == 0) & (c > 1)
+            a, b, c = (np.where(half, v // 2, v) for v in (a, b, c))
+        rows = zip(
+            self.positions_float().tolist(),
+            a.tolist(),
+            b.tolist(),
+            c.tolist(),
+            [label or "" for label in self.label.tolist()],
+            repeat(1.0),
+            repeat(0.0),
         )
+        return _csv("position_float,a,b,c,label,weight_re,weight_im", rows)
 
     @classmethod
     def from_points(
@@ -219,8 +262,42 @@ class LabeledPatch:
         items: Iterable[tuple[AlgebraicNumber, str | None]],
         radius: float | AlgebraicNumber,
     ) -> LabeledPatch:
-        pts = tuple(PatchPoint(pos, label, 1.0 + 0.0j) for pos, label in items)
-        return cls(pts, radius)
+        items = list(items)
+        quarters = [pos.quarter() for pos, _ in items]
+        a4 = np.array([a for a, _ in quarters], dtype=np.int64)
+        b4 = np.array([b for _, b in quarters], dtype=np.int64)
+        label = np.empty(len(items), dtype=object)
+        label[:] = [lab for _, lab in items]
+        return cls(a4, b4, label, radius)
+
+
+def _letter_counts(rule: SubstitutionRule, level: int) -> dict[str, int]:
+    """Letter multiplicities in the level-th iterate of the word 'a'."""
+    counts = {ch: int(ch == "a") for ch in rule.letters}
+    for _ in range(level):
+        nxt = dict.fromkeys(counts, 0)
+        for ch, c in counts.items():
+            for img in rule.images[ch]:
+                nxt[img] += c
+        counts = nxt
+    return counts
+
+
+def fixed_point_extent(
+    level: int, rule: SubstitutionRule | None = None
+) -> AlgebraicNumber:
+    """Exact realized length of the level-th iterate of the word 'a'
+    (the radius of ``fixed_point_patch(level, rule)``), from letter counts
+    alone, without building the word."""
+    if level < 0:
+        raise ValueError("level must be >= 0")
+    rule = rule or silver_mean_rule()
+    if "a" not in rule.images:
+        raise ValueError("seed a|a needs a letter named 'a'")
+    total = ZERO
+    for ch, count in _letter_counts(rule, level).items():
+        total = total + rule.lengths[ch] * count
+    return total
 
 
 def fixed_point_patch(
@@ -233,19 +310,25 @@ def fixed_point_patch(
     is exactly covered; the point sitting at +radius belongs to the next
     (unrealized) interval and is not included.
     """
-    if level < 0:
-        raise ValueError("level must be >= 0")
     rule = rule or silver_mean_rule()
-    if "a" not in rule.images:
-        raise ValueError("seed a|a needs a letter named 'a'")
+    extent = fixed_point_extent(level, rule)
+    # the radius check compares extent - x for x down to -extent
+    ea, eb = extent.quarter()
+    if max(abs(ea), abs(eb)) >= COLUMN_LIMIT // 2:
+        raise CoefficientOverflowError(f"level {level} needs coefficients beyond 2**31")
+    letters = rule.letters
     word = substitute_power(rule, "a", level)
-    # right half: intervals from 0 rightwards; left half mirrors the word
-    right: list[tuple[AlgebraicNumber, str]] = []
-    pos = ZERO
-    for ch in word:
-        right.append((pos, ch))
-        pos = pos + rule.lengths[ch]
-    extent = pos
-    left = [(p - extent, ch) for p, ch in right]
-    pts = left + right
-    return LabeledPatch.from_points(pts, extent)
+    codes = np.frombuffer(word.encode("utf-32-le"), dtype="<u4")
+    index = np.searchsorted(np.array([ord(ch) for ch in letters], dtype="<u4"), codes)
+    # right half: left endpoints from 0 rightwards, an exclusive cumsum of
+    # the exact letter lengths; the left half is the same word shifted by -extent
+    quarters = np.array([rule.lengths[ch].quarter() for ch in letters], dtype=np.int64)
+    step = quarters[index]
+    right_a, right_b = (np.cumsum(step, axis=0) - step).T
+    label = np.array(letters, dtype=object)[index]
+    return LabeledPatch(
+        np.concatenate([right_a - ea, right_a]),
+        np.concatenate([right_b - eb, right_b]),
+        np.concatenate([label, label]),
+        extent,
+    )

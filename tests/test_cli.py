@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -31,6 +32,13 @@ class TestGenerate:
         assert run("generate", "--radius", "30", "--mode", "projection", "--out", str(a)) == 0
         assert run("generate", "--radius", "30", "--mode", "substitution", "--out", str(b)) == 0
         assert read(a / "patch.csv") == read(b / "patch.csv")
+
+    @pytest.mark.parametrize("mode", ["projection", "substitution"])
+    def test_coefficient_overflow_exits_3_at_once(self, tmp_path, mode):
+        start = time.perf_counter()
+        assert run("generate", "--radius", "1e10", "--mode", mode, "--out", str(tmp_path)) == 3
+        assert time.perf_counter() - start < 5.0
+        assert not (tmp_path / "patch.csv").exists()
 
     def test_csv_header(self, tmp_path):
         out = tmp_path / "gen"

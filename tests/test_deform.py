@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from quasilattice.cutproject import project_patch
 from quasilattice.deform import (
@@ -20,7 +21,7 @@ from quasilattice.deform import (
     interval_ratio,
     local_configuration,
 )
-from quasilattice.quadfield import AlgebraicNumber, SILVER_MEAN
+from quasilattice.quadfield import AlgebraicNumber, SILVER_MEAN, parse_exact
 from quasilattice.substitution import LabeledPatch
 
 A = AlgebraicNumber
@@ -65,6 +66,20 @@ class TestDeformPatch:
     def test_float_alpha_gives_float_positions(self, patch200):
         comb = deform_patch(patch200, AffineDeformation(0.5, 0.0))
         assert all(isinstance(p.position, float) for p in comb.points)
+
+    @pytest.mark.parametrize(
+        "alpha,exact",
+        [("1/3", False), ("3-2*sqrt2", True), ("1/2", True)],
+    )
+    def test_one_kind_of_position_per_comb(self, alpha, exact):
+        # 1/3 leaves the quarter-integers at most points but not all of them
+        theta = AffineDeformation(parse_exact(alpha), 0)
+        comb = deform_patch(project_patch(20.0), theta)
+        kinds = {isinstance(p.position, A) for p in comb.points}
+        assert kinds == {exact}
+        expect = sorted(p.position.value() + float(theta.evaluate(p.position.star()))
+                        for p in project_patch(20.0).points)
+        assert comb.positions_float() == pytest.approx(expect, abs=1e-12)
 
     def test_outside_domain_rejected(self):
         patch = LabeledPatch.from_points([(A(0, 0, 1), None), (A(1, 0, 1), None)], 2.0)
@@ -138,6 +153,31 @@ class TestDensity:
 
     def test_empty(self):
         assert density(DiracComb((), 5.0)) == 0.0
+
+
+def _brute_configuration(positions, index, local_radius):
+    center = positions[index]
+    return tuple(sorted(
+        round(p - center, 9) for p in positions if abs(p - center) <= local_radius + 1e-12
+    ))
+
+
+@given(
+    st.lists(st.floats(-50.0, 50.0) | st.integers(-50, 50).map(float), min_size=1, max_size=60),
+    st.sampled_from([0.0, 0.5, 1.0, 2.0, 1.0 + SQRT2, 7.5]),
+)
+def test_local_configuration_matches_brute_force(values, local_radius):
+    positions = sorted(values)
+    for i in range(len(positions)):
+        assert local_configuration(positions, i, local_radius) == _brute_configuration(
+            positions, i, local_radius
+        )
+
+
+def test_local_configuration_on_chain(comb_r1000):
+    positions = comb_r1000.positions_float()
+    for i in range(0, len(positions), 37):
+        assert local_configuration(positions, i, 3.0) == _brute_configuration(positions, i, 3.0)
 
 
 def _comb_of_integers(lo: int, hi: int, radius: float) -> DiracComb:

@@ -5,7 +5,6 @@ import pytest
 from quasilattice.quadfield import AlgebraicNumber, SILVER_MEAN
 from quasilattice.substitution import (
     LabeledPatch,
-    PatchPoint,
     SubstitutionRule,
     _csv,
     fixed_point_patch,
@@ -128,18 +127,12 @@ def test_word_power_lengths():
 
 def test_patch_sorted_validation():
     with pytest.raises(ValueError):
-        LabeledPatch(
-            (
-                PatchPoint(A(1, 0, 1), "a", 1.0),
-                PatchPoint(A(0, 0, 1), "a", 1.0),
-            ),
-            radius=2.0,
-        )
+        LabeledPatch.from_points([(A(1, 0, 1), "a"), (A(0, 0, 1), "a")], radius=2.0)
 
 
 def test_patch_radius_validation():
     with pytest.raises(ValueError):
-        LabeledPatch((PatchPoint(A(5, 0, 1), "a", 1.0),), radius=2.0)
+        LabeledPatch.from_points([(A(5, 0, 1), "a")], radius=2.0)
 
 
 def test_patch_csv():
