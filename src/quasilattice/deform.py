@@ -255,10 +255,13 @@ class DiracComb:
                 abc = (pos.a, pos.b, pos.c)
             else:
                 abc = ("", "", "")
-            return (p.position_float(), *abc, "", w.real, w.imag)
+            return (p.position_float(), *abc, w.real, w.imag)
 
+        # %s takes the ints of an exact position and the blanks of a float one
         return _csv(
-            "position_float,a,b,c,label,weight_re,weight_im", map(row, self.points)
+            "position_float,a,b,c,label,weight_re,weight_im",
+            "%.17g,%s,%s,%s,,%.17g,%.17g",
+            map(row, self.points),
         )
 
     @classmethod

@@ -12,8 +12,9 @@ exponential sums over finite patches, with compensated summation, plus
 the finite autocorrelation for Wiener-identity checks.
 
 Extinctions (sin z = 0 with z != 0) are decided in exact arithmetic:
-z/pi lies in Q(sqrt2) whenever alpha does, so integrality is a statement
-about two Fractions, never about floats.
+for exact alpha = (R + S*sqrt2)/D and k = (a4 + b4*sqrt2)/4, z/pi is
+(P + Q*sqrt2)/(4D) with integer P and Q, so integrality is a statement
+about two int64 columns, never about floats.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -36,12 +37,21 @@ from .deform import (
     _is_exact,
     _scalar_float,
 )
-from .quadfield import AlgebraicNumber, QuadRational, enumerate_dual
+from .quadfield import (
+    AlgebraicNumber,
+    CoefficientOverflowError,
+    QuadRational,
+    column_values,
+    dual_columns,
+    enumerate_dual,
+)
 from .substitution import _csv
 
 _SQRT2 = math.sqrt(2.0)
 _TWO_SQRT2 = 2.0 * _SQRT2
 _GL_ORDER = 8
+# integers below this are exact as float64, so P/(4D) rounds like the Fraction
+_FLOAT_EXACT = 2**53
 
 DEFAULT_PANELS = 4096
 DEFAULT_INTENSITY_FLOOR = 1e-8
@@ -83,35 +93,81 @@ def _require_dual(k: AlgebraicNumber) -> tuple[int, int]:
     return mn
 
 
-def _z_over_pi(k: AlgebraicNumber, alpha: Scalar) -> QuadRational:
-    """(alpha*k - star(k)) * sqrt2, exactly, for exact alpha."""
-    kq = QuadRational.of(k)
-    irr2 = QuadRational.of(AlgebraicNumber(0, 1, 1))
-    return (QuadRational.of(alpha) * kq - kq.star()) * irr2
+def _dual_quarters(ks: Sequence[AlgebraicNumber]) -> tuple[np.ndarray, np.ndarray]:
+    """The quarter-scaled columns (a4, b4) of dual-module wave numbers."""
+    mn = np.array([_require_dual(k) for k in ks], dtype=np.int64).reshape(-1, 2)
+    return 2 * mn[:, 0], mn[:, 1]
+
+
+def _exact_z_over_pi(
+    a4: np.ndarray, b4: np.ndarray, alpha: Scalar
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """z/pi = (alpha*k - star(k))*sqrt2 at k = (a4 + b4*sqrt2)/4 for exact
+    alpha, as (float value, zero mask, extinction mask).
+
+    With alpha = (R + S*sqrt2)/D, z/pi = (P + Q*sqrt2)/(4D) for the int64
+    columns P = 2(b4(R+D) + a4*S) and Q = a4(R-D) + 2*b4*S: it is zero when
+    P = Q = 0 and a nonzero integer (an extinction) when Q = 0 and 4D
+    divides P != 0.  Every operand stays below 2**53, where the float value
+    P/(4D) + (Q/(4D))*sqrt2 is that of the reduced fractions; larger ones
+    raise CoefficientOverflowError before any column is built.
+    """
+    aq = QuadRational.of(alpha)
+    d = lcm(aq.rat.denominator, aq.irr.denominator)
+    r, s = int(aq.rat * d), int(aq.irr * d)
+    amax = int(np.abs(a4).max(initial=0))
+    bmax = int(np.abs(b4).max(initial=0))
+    p_bound = 2 * (bmax * (abs(r) + d) + amax * abs(s))
+    q_bound = amax * (abs(r) + d) + 2 * bmax * abs(s)
+    if max(abs(r) + d, 2 * abs(s), 4 * d, p_bound, q_bound) >= _FLOAT_EXACT:
+        raise CoefficientOverflowError(f"alpha = {aq} needs z/pi operands beyond 2**53")
+    p = 2 * (b4 * (r + d) + a4 * s)
+    q = a4 * (r - d) + 2 * b4 * s
+    zero = (p == 0) & (q == 0)
+    extinct = (q == 0) & (p % (4 * d) == 0) & ~zero
+    four_d = float(4 * d)
+    return p / four_d + (q / four_d) * _SQRT2, zero, extinct
+
+
+def closed_form_amplitudes(
+    a4: np.ndarray, b4: np.ndarray, alpha: Scalar, beta: Scalar
+) -> list[complex]:
+    """Closed-form affine amplitudes at the dual-module wave numbers
+    k = (a4 + b4*sqrt2)/4, one per row.
+
+    Exact alpha (int, Fraction, AlgebraicNumber, QuadRational) decides
+    zeros and extinctions on integer columns, so systematic zeros come out
+    as exactly 0 and the central value as exactly 1/2 (times the beta
+    phase).
+    """
+    kv = column_values(a4, b4)
+    if _is_exact(alpha):
+        w, zero, extinct = _exact_z_over_pi(a4, b4, alpha)
+        z = math.pi * w
+    else:
+        z = math.pi * (float(alpha) * kv - column_values(a4, -b4)) * _SQRT2
+        zero = z == 0.0
+        extinct = np.zeros(len(z), dtype=bool)
+    # math/cmath per row: numpy's vector sin and exp may round differently
+    turn = -2j * math.pi * _scalar_float(beta)
+    out: list[complex] = []
+    for kf, zf, is_zero, is_extinct in zip(
+        kv.tolist(), z.tolist(), zero.tolist(), extinct.tolist()
+    ):
+        phase = cmath.exp(turn * kf)
+        if is_zero:
+            out.append(0.5 * phase)
+        elif is_extinct:
+            out.append(0.0 * phase)
+        else:
+            out.append(phase * (math.sin(zf) / (2.0 * zf)))
+    return out
 
 
 def amplitude_closed(k: AlgebraicNumber, alpha: Scalar, beta: Scalar) -> complex:
-    """Closed-form amplitude for the affine deformation family.
-
-    Exact alpha (int, Fraction, AlgebraicNumber, QuadRational) routes
-    through exact arithmetic, so systematic zeros come out as exactly 0
-    and the central value as exactly 1/2 (times the beta phase).
-    """
-    _require_dual(k)
-    kv = k.value()
-    phase = cmath.exp(-2j * math.pi * _scalar_float(beta) * kv)
-    if _is_exact(alpha):
-        w = _z_over_pi(k, alpha)
-        if w.is_zero():
-            return 0.5 * phase
-        if w.is_integer():
-            return 0.0 * phase
-        z = math.pi * w.value()
-    else:
-        z = math.pi * (float(alpha) * kv - k.star().value()) * _SQRT2
-        if z == 0.0:
-            return 0.5 * phase
-    return phase * (math.sin(z) / (2.0 * z))
+    """Closed-form amplitude for the affine deformation family at one wave
+    number; the one-row case of ``closed_form_amplitudes``."""
+    return closed_form_amplitudes(*_dual_quarters([k]), alpha, beta)[0]
 
 
 @lru_cache(maxsize=64)
@@ -161,12 +217,15 @@ def amplitude_quadrature(
     return complex(np.dot(w, phase)) / _TWO_SQRT2
 
 
-def _analytic_amplitude(k: AlgebraicNumber, theta: DeformationMap) -> tuple[complex, str]:
-    """(amplitude, source): the closed form for affine theta, quadrature
-    for every other deformation."""
+def _analytic_amplitudes(
+    a4: np.ndarray, b4: np.ndarray, theta: DeformationMap
+) -> tuple[list[complex], str]:
+    """(amplitudes, source) at the dual-module columns: the closed form for
+    affine theta, quadrature for every other deformation."""
     if isinstance(theta, AffineDeformation):
-        return amplitude_closed(k, theta.alpha, theta.beta), "closed_form"
-    return amplitude_quadrature(k, theta), "quadrature"
+        return closed_form_amplitudes(a4, b4, theta.alpha, theta.beta), "closed_form"
+    ks = (AlgebraicNumber(a, b, 4) for a, b in zip(a4.tolist(), b4.tolist()))
+    return [amplitude_quadrature(k, theta) for k in ks], "quadrature"
 
 
 def autocorrelation_finite(comb: DiracComb, max_points: int = 20000) -> DiracComb:
@@ -247,6 +306,7 @@ class Spectrum:
     def to_csv(self) -> str:
         return _csv(
             "k_float,k_a,k_b,k_c,amp_re,amp_im,intensity,source",
+            "%.17g,%d,%d,%d,%.17g,%.17g,%.17g,%s",
             (
                 (e.k.value(), e.k.a, e.k.b, e.k.c, e.amplitude.real,
                  e.amplitude.imag, e.intensity, e.source)
@@ -296,13 +356,13 @@ def spectrum_scan(
         raise ValueError("k_max must be positive")
     if intensity_floor < 0:
         raise ValueError("intensity_floor must be >= 0")
-    bound = scan_internal_bound(theta, k_max, intensity_floor)
+    a4, b4 = dual_columns(k_max, scan_internal_bound(theta, k_max, intensity_floor))
+    amps, source = _analytic_amplitudes(a4, b4, theta)
     entries = []
-    for k in enumerate_dual(k_max, bound):
-        amp, source = _analytic_amplitude(k, theta)
+    for a, b, amp in zip(a4.tolist(), b4.tolist(), amps):
         intensity = abs(amp) ** 2
         if intensity >= intensity_floor:
-            entries.append(SpectrumEntry(k, amp, intensity, source))
+            entries.append(SpectrumEntry(AlgebraicNumber(a, b, 4), amp, intensity, source))
     return Spectrum(tuple(entries), k_max, intensity_floor)
 
 
@@ -394,16 +454,20 @@ def extinction_report(
     aq = QuadRational.of(alpha)
     if kstar_max is None:
         kstar_max = max(2.0 * k_max, 1.0)
+    a4, b4 = dual_columns(k_max, kstar_max)
+    _, _, is_extinct = _exact_z_over_pi(a4, b4, aq)
     extinct: list[AlgebraicNumber] = []
     survive: list[AlgebraicNumber] = []
-    for k in enumerate_dual(k_max, kstar_max):
-        w = _z_over_pi(k, aq)
-        if not w.is_zero() and w.is_integer():
+    vectors: list[tuple[int, int]] = []
+    for a, b, x in zip(a4.tolist(), b4.tolist(), is_extinct.tolist()):
+        k = AlgebraicNumber(a, b, 4)
+        if x:
             extinct.append(k)
         else:
             survive.append(k)
-    vectors = [k.dual_coords() for k in survive]
-    basis = _span_basis([v for v in vectors if v is not None and v != (0, 0)])
+            if (a, b) != (0, 0):
+                vectors.append((a // 2, b))
+    basis = _span_basis(vectors)
     if basis == ((1, 0), (0, 1)):
         span = SPAN_FULL_DUAL
     elif basis == ((1, 0),):
@@ -455,6 +519,7 @@ class ComparisonTable:
     def to_csv(self) -> str:
         return _csv(
             "k_float,emp_re,emp_im,ana_re,ana_im,abs_error",
+            "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g",
             (
                 (r.k.value(), r.empirical.real, r.empirical.imag,
                  r.analytic.real, r.analytic.imag, r.error)
@@ -468,11 +533,9 @@ def compare_empirical_analytic(
 ) -> ComparisonTable:
     """Per-k error table between the Weyl sum of a deformed comb and the
     analytic amplitude of the deformation."""
+    amps, _ = _analytic_amplitudes(*_dual_quarters(k_list), theta)
     return ComparisonTable(
-        tuple(
-            ComparisonRow(k, weyl_sum(comb, k), _analytic_amplitude(k, theta)[0])
-            for k in k_list
-        )
+        tuple(ComparisonRow(k, weyl_sum(comb, k), amp) for k, amp in zip(k_list, amps))
     )
 
 

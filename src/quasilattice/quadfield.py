@@ -7,9 +7,11 @@ every window endpoint and every dual-module wave number is one of these,
 so set membership and ordering decisions never touch floating point.
 Point sets store the same numbers as int64 columns of quarter-scaled
 coefficients (a4 + b4*sqrt2)/4; the ``column_*`` functions are the
-elementwise forms of the scalar sign test, embedding and radius check.
+elementwise forms of the scalar sign test, embedding and radius check, and
+``dual_columns`` enumerates the dual module in the same form.
 ``QuadRational`` is a Fraction-coefficient element of Q(sqrt2) used where
-arbitrary rational coefficients occur (exact extinction tests).
+arbitrary rational coefficients occur (parsed slopes, exact deformation
+shifts).
 """
 
 from __future__ import annotations
@@ -292,35 +294,52 @@ def dual_pairing(k: AlgebraicNumber, x: AlgebraicNumber) -> AlgebraicNumber:
     return k * x + k.star() * x.star()
 
 
-def enumerate_dual(
+def dual_columns(
     k_max: float, kstar_max: float | None = None
-) -> list[AlgebraicNumber]:
-    """All k = (2m + n*sqrt2)/4 with |k| <= k_max and |star(k)| <= kstar_max,
-    sorted ascending.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Quarter-scaled int64 columns (a4, b4) = (2m, n) of every dual-module
+    element k = (2m + n*sqrt2)/4 with |k| <= k_max and |star(k)| <= kstar_max,
+    sorted ascending by the float embedding (stable, so ties keep the
+    (m, n) order).
 
     The dual module is dense in R, so a bound on the conjugate is what
     makes the enumeration finite.  When ``kstar_max`` is omitted it
     defaults to max(2*k_max, 1.0); callers that need a completeness
     guarantee (e.g. every peak above an intensity floor) should pass the
-    bound they derived.
+    bound they derived.  Both bounds are decided exactly.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     if kstar_max is None:
         kstar_max = max(2.0 * k_max, 1.0)
-    out: list[AlgebraicNumber] = []
     # m = k + star(k), n*sqrt2/2 = k - star(k); widen by 1 against rounding.
     m_hi = int(math.floor((k_max + kstar_max))) + 1
-    for m in range(-m_hi, m_hi + 1):
-        # |k| <= k_max gives n*sqrt2 in [-4 k_max - 2m, 4 k_max - 2m].
-        n_lo = int(math.floor((-4 * k_max - 2 * m) / _SQRT2_FLOAT)) - 1
-        n_hi = int(math.ceil((4 * k_max - 2 * m) / _SQRT2_FLOAT)) + 1
-        for n in range(n_lo, n_hi + 1):
-            k = AlgebraicNumber(2 * m, n, 4)
-            if abs(k).cmp_float(k_max) <= 0 and abs(k.star()).cmp_float(kstar_max) <= 0:
-                out.append(k)
-    out.sort(key=AlgebraicNumber.value)
-    return out
+    # |n| <= (4 k_max + 2 m_hi)/sqrt2 + 2 < 2 m_hi + 6 k_max + 2
+    if 2 * m_hi + 6 * k_max + 2 >= COLUMN_LIMIT:
+        raise CoefficientOverflowError(
+            f"bounds k_max={k_max}, kstar_max={kstar_max} need coefficients beyond 2**31"
+        )
+    m = np.arange(-m_hi, m_hi + 1, dtype=np.int64)
+    # |k| <= k_max gives n*sqrt2 in [-4 k_max - 2m, 4 k_max - 2m].
+    n_lo = np.floor((-4 * k_max - 2 * m) / _SQRT2_FLOAT).astype(np.int64) - 1
+    n_hi = np.ceil((4 * k_max - 2 * m) / _SQRT2_FLOAT).astype(np.int64) + 1
+    counts = n_hi - n_lo + 1
+    starts = np.cumsum(counts) - counts
+    a4 = np.repeat(2 * m, counts)
+    b4 = np.arange(counts.sum(), dtype=np.int64) + np.repeat(n_lo - starts, counts)
+    keep = column_within(a4, b4, k_max) & column_within(a4, -b4, kstar_max)
+    a4, b4 = a4[keep], b4[keep]
+    order = np.argsort(column_values(a4, b4), kind="stable")
+    return a4[order], b4[order]
+
+
+def enumerate_dual(
+    k_max: float, kstar_max: float | None = None
+) -> list[AlgebraicNumber]:
+    """The elements of ``dual_columns(k_max, kstar_max)`` as AlgebraicNumbers,
+    in the same ascending order."""
+    a4, b4 = dual_columns(k_max, kstar_max)
+    return [AlgebraicNumber(a, b, 4) for a, b in zip(a4.tolist(), b4.tolist())]
 
 
 @dataclass(frozen=True)

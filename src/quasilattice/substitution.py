@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -29,18 +28,11 @@ from .quadfield import (
     column_within,
 )
 
-_FLOAT_FMT = "%.17g"
 
-
-def _csv(header: str, rows: Iterable[Iterable[object]]) -> str:
-    """CSV text with a header line; floats get 17 significant digits,
-    everything else its str(), and the text ends in a newline."""
-    lines = [header]
-    lines.extend(
-        ",".join(_FLOAT_FMT % v if isinstance(v, float) else str(v) for v in row)
-        for row in rows
-    )
-    return "\n".join(lines) + "\n"
+def _csv(header: str, fmt: str, rows: Iterable[tuple]) -> str:
+    """CSV text: the header line, then ``fmt % row`` for each row, ending in
+    a newline.  Formats give floats 17 significant digits (%.17g)."""
+    return "\n".join([header, *(fmt % row for row in rows)]) + "\n"
 
 
 class PatchPoint(NamedTuple):
@@ -251,10 +243,11 @@ class LabeledPatch:
             b.tolist(),
             c.tolist(),
             [label or "" for label in self.label.tolist()],
-            repeat(1.0),
-            repeat(0.0),
         )
-        return _csv("position_float,a,b,c,label,weight_re,weight_im", rows)
+        # unit weights: %.17g of 1.0 and 0.0
+        return _csv(
+            "position_float,a,b,c,label,weight_re,weight_im", "%.17g,%d,%d,%d,%s,1,0", rows
+        )
 
     @classmethod
     def from_points(

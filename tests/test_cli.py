@@ -123,6 +123,18 @@ class TestDiffract:
         ana = read(out / "spectrum_analytic.csv").strip().splitlines()
         assert len(emp) == len(ana)
 
+    def test_alpha_denominator_beyond_2_53_exits_3_at_once(self, tmp_path):
+        start = time.perf_counter()
+        assert (
+            run(
+                "diffract", "--radius", "10", "--alpha", "1/4503599627370497",
+                "--kmax", "1", "--floor", "1e-4", "--out", str(tmp_path),
+            )
+            == 3
+        )
+        assert time.perf_counter() - start < 5.0
+        assert not (tmp_path / "spectrum_analytic.csv").exists()
+
 
 class TestSigma:
     def test_origin(self, tmp_path):

@@ -32,7 +32,6 @@ from quasilattice.substitution import (
     LabeledPatch,
     PatchPoint,
     SubstitutionRule,
-    _csv,
     fixed_point_extent,
     fixed_point_patch,
     silver_mean_rule,
@@ -303,11 +302,17 @@ def test_columns_are_read_only():
 # -- compatibility view and CSV --------------------------------------------------
 
 def _scalar_csv(points):
+    """Reference writer: one value at a time, %.17g for floats, str() otherwise."""
     def row(p):
         pos, w = p.position, complex(p.weight)
         return (pos.value(), pos.a, pos.b, pos.c, p.label or "", w.real, w.imag)
 
-    return _csv("position_float,a,b,c,label,weight_re,weight_im", map(row, points))
+    lines = ["position_float,a,b,c,label,weight_re,weight_im"]
+    lines.extend(
+        ",".join("%.17g" % v if isinstance(v, float) else str(v) for v in row(p))
+        for p in points
+    )
+    return "\n".join(lines) + "\n"
 
 
 @given(quarter)

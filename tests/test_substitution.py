@@ -146,10 +146,10 @@ def test_patch_csv():
 
 
 def test_csv_helper_format():
-    assert _csv("x,n,s", [(0.1, -3, "a"), (1.0, 0, "")]) == (
+    assert _csv("x,n,s", "%.17g,%d,%s", [(0.1, -3, "a"), (1.0, 0, "")]) == (
         "x,n,s\n0.10000000000000001,-3,a\n1,0,\n"
     )
-    assert _csv("x", []) == "x\n"
+    assert _csv("x", "%.17g", []) == "x\n"
 
 
 def test_trim_and_translate():
