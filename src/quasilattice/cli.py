@@ -190,6 +190,12 @@ def _build_patch(cfg: RunConfig) -> LabeledPatch:
 
 
 def _check_admissible(cfg: RunConfig, theta: DeformationMap) -> None:
+    if cfg.mode == "projection" and cfg.window_pair()[0] != silver_window():
+        raise ConfigError(
+            "deform, diffract and compare need the silver window: theta, its "
+            "admissibility check and the amplitudes all assume it; a custom "
+            "scheme.window is only for generate and sigma"
+        )
     ok, worst = delone_check(theta)
     if not ok and not cfg.allow_overlap:
         raise ConfigError(

@@ -37,6 +37,9 @@ from .substitution import LabeledPatch
 Interval = tuple[AlgebraicNumber, AlgebraicNumber]
 
 _SQRT2 = math.sqrt(2.0)
+# values of m that project_patch enumerates at once: its temporaries stay
+# a few MiB at any radius, and radii up to about 1.3e5 take one block
+_M_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -340,7 +343,8 @@ def project_patch(
     into an interval of the window's length, so the enumeration is
     provably complete with a constant number of candidates per m.  Floats
     only pick the candidates and sort the points; membership, labels and
-    the radius are decided exactly, on whole columns.
+    the radius are decided exactly, on whole columns of at most
+    ``_M_BLOCK`` values of m each, then sorted once together.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -363,26 +367,35 @@ def project_patch(
     # candidates: per m, the n with m - n*sqrt2 in [lo, hi], widened by a
     # slack far above the float rounding (about 5e-16 relative) so that no
     # solution is lost; membership itself is decided exactly below
-    m = np.arange(-m_hi, m_hi + 1, dtype=np.int64)
     slack = 1e-12 * (m_hi + w_abs + 1.0)
-    n_lo = np.ceil((m - hi_b.value()) / _SQRT2 - slack).astype(np.int64)
-    n_hi = np.floor((m - lo_b.value()) / _SQRT2 + slack).astype(np.int64)
-    count = n_hi - n_lo + 1
-    first = np.cumsum(count) - count
-    a4 = 4 * np.repeat(m, count)
-    b4 = 4 * (np.arange(count.sum(), dtype=np.int64) + np.repeat(n_lo - first, count))
-    keep = window.mask(a4, -b4)
-    a4, b4 = a4[keep], b4[keep]
-    keep = column_within(a4, b4, radius)
-    a4, b4 = a4[keep], b4[keep]
-    label = np.full(len(a4), None, dtype=object)
-    free = np.ones(len(a4), dtype=bool)
-    for name, sub in sub_items:
-        hit = free & sub.mask(a4, -b4)
-        label[hit] = name
-        free &= ~hit
+    blocks = []
+    for start in range(-m_hi, m_hi + 1, _M_BLOCK):
+        m = np.arange(start, min(start + _M_BLOCK, m_hi + 1), dtype=np.int64)
+        n_lo = np.ceil((m - hi_b.value()) / _SQRT2 - slack).astype(np.int64)
+        n_hi = np.floor((m - lo_b.value()) / _SQRT2 + slack).astype(np.int64)
+        count = n_hi - n_lo + 1
+        first = np.cumsum(count) - count
+        a4 = 4 * np.repeat(m, count)
+        b4 = 4 * (np.arange(count.sum(), dtype=np.int64) + np.repeat(n_lo - first, count))
+        keep = window.mask(a4, -b4)
+        a4, b4 = a4[keep], b4[keep]
+        keep = column_within(a4, b4, radius)
+        a4, b4 = a4[keep], b4[keep]
+        label = np.full(len(a4), None, dtype=object)
+        free = np.ones(len(a4), dtype=bool)
+        for name, sub in sub_items:
+            hit = free & sub.mask(a4, -b4)
+            label[hit] = name
+            free &= ~hit
+        blocks.append((a4, b4, label))
+    # free the blocks and the unsorted columns before LabeledPatch
+    # validates: each copy is as large as the result
+    a4, b4, label = (np.concatenate(col) for col in zip(*blocks))
+    del blocks
     order = np.argsort(column_values(a4, b4), kind="stable")
-    return LabeledPatch(a4[order], b4[order], label[order], radius)
+    a4, b4, label = a4[order], b4[order], label[order]
+    del order
+    return LabeledPatch(a4, b4, label, radius)
 
 
 def sigma_estimate(patch: LabeledPatch, window: Window) -> Window:

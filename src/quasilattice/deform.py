@@ -85,9 +85,6 @@ class AffineDeformation:
     def max_slope(self) -> float:
         return abs(_scalar_float(self.alpha))
 
-    def piece_count(self) -> int:
-        return 1
-
     def spread(self) -> float:
         lo, hi = self.window().bounds()
         a = _scalar_float(self.alpha)
@@ -162,9 +159,6 @@ class PiecewiseLinearDeformation:
             abs((v1 - v0) / (y1 - y0))
             for (y0, v0), (y1, v1) in zip(self.breakpoints, self.breakpoints[1:])
         )
-
-    def piece_count(self) -> int:
-        return len(self.breakpoints) - 1
 
     def spread(self) -> float:
         vals = [v for _, v in self.breakpoints]

@@ -6,8 +6,12 @@ dual-module wave number k is
     A(k) = (1/(2*sqrt2)) * integral over W of e^{2 pi i (k* y - k theta(y))} dy,
 
 which for the affine family theta = alpha*y + beta collapses to
-e^{-2 pi i beta k} * sin(z)/(2z) with z = pi*(alpha*k - k*)*sqrt2.  The
-amplitude vanishes off the dual module.  Empirical side: normalised
+e^{-2 pi i beta k} * sin(z)/(2z) with z = pi*(alpha*k - k*)*sqrt2.  Every
+other deformation is affine between its breakpoints, so the integral is a
+sum of such terms, one sinc times a phase per linear segment.  Every
+family thus has a closed form; composite Gauss-Legendre quadrature
+(``amplitude_quadrature``) is kept only as an independent cross-check.
+The amplitude vanishes off the dual module.  Empirical side: normalised
 exponential sums over finite patches, with compensated summation, plus
 the finite autocorrelation for Wiener-identity checks.
 
@@ -28,7 +32,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cutproject import Window
+from .cutproject import Window, silver_window
 from .deform import (
     AffineDeformation,
     DeformationMap,
@@ -170,6 +174,43 @@ def amplitude_closed(k: AlgebraicNumber, alpha: Scalar, beta: Scalar) -> complex
     return closed_form_amplitudes(*_dual_quarters([k]), alpha, beta)[0]
 
 
+def _segments(theta: DeformationMap, window: Window) -> list[tuple[float, float]]:
+    """The intervals of the window as floats, split at the breakpoints of
+    theta, so that theta is affine on each one."""
+    cuts = sorted(theta.breakpoints_float())
+    segments: list[tuple[float, float]] = []
+    for lo, hi in window.intervals:
+        lov, hiv = lo.value(), hi.value()
+        edges = [lov, *(c for c in cuts if lov < c < hiv), hiv]
+        segments.extend((a, b) for a, b in zip(edges, edges[1:]) if b > a)
+    return segments
+
+
+def segment_amplitudes(
+    a4: np.ndarray, b4: np.ndarray, theta: DeformationMap
+) -> np.ndarray:
+    """Closed-form amplitudes at the dual-module wave numbers
+    k = (a4 + b4*sqrt2)/4 for any theta that is affine between its
+    breakpoints, one per row.
+
+    On a segment [a, b] where theta(y) = theta(a) + s*(y - a), the
+    integrand is e^{i(c*y + d)} with c = 2 pi (k* - k*s) and
+    d = -2 pi k (theta(a) - s*a), whose integral is
+    (b - a) e^{i(c*mid + d)} sinc(c*h/pi) with mid, h the centre and
+    half-width of the segment.
+    """
+    kv, ksv = column_values(a4, b4), column_values(a4, -b4)
+    total = np.zeros(len(kv), dtype=complex)
+    for a, b in _segments(theta, theta.window()):
+        ta, tb = theta.evaluate_float(a), theta.evaluate_float(b)
+        s = (tb - ta) / (b - a)
+        c = 2.0 * math.pi * (ksv - kv * s)
+        d = -2.0 * math.pi * kv * (ta - s * a)
+        mid, h = 0.5 * (a + b), 0.5 * (b - a)
+        total += (b - a) * np.exp(1j * (c * mid + d)) * np.sinc(c * (h / math.pi))
+    return total / _TWO_SQRT2
+
+
 @lru_cache(maxsize=64)
 def _quad_grid(
     theta: DeformationMap, window: Window, panels: int
@@ -177,13 +218,7 @@ def _quad_grid(
     """(nodes, weights, theta values) of the composite Gauss-Legendre grid,
     panels split at the deformation breakpoints."""
     nodes1, weights1 = np.polynomial.legendre.leggauss(_GL_ORDER)
-    cuts = sorted(theta.breakpoints_float())
-    segments: list[tuple[float, float]] = []
-    for lo, hi in window.intervals:
-        lov, hiv = lo.value(), hi.value()
-        inner = [c for c in cuts if lov < c < hiv]
-        edges = [lov, *inner, hiv]
-        segments.extend((a, b) for a, b in zip(edges, edges[1:]) if b > a)
+    segments = _segments(theta, window)
     total = sum(b - a for a, b in segments)
     ys: list[np.ndarray] = []
     ws: list[np.ndarray] = []
@@ -206,7 +241,10 @@ def amplitude_quadrature(
     window: Window | None = None,
     panels: int = DEFAULT_PANELS,
 ) -> complex:
-    """Amplitude by composite Gauss-Legendre quadrature over the window."""
+    """Amplitude by composite Gauss-Legendre quadrature over the window.
+
+    No scan calls this: it is an independent cross-check of the closed
+    forms."""
     _require_dual(k)
     if panels < 2:
         raise ValueError("panels must be >= 2")
@@ -219,13 +257,12 @@ def amplitude_quadrature(
 
 def _analytic_amplitudes(
     a4: np.ndarray, b4: np.ndarray, theta: DeformationMap
-) -> tuple[list[complex], str]:
-    """(amplitudes, source) at the dual-module columns: the closed form for
-    affine theta, quadrature for every other deformation."""
-    if isinstance(theta, AffineDeformation):
-        return closed_form_amplitudes(a4, b4, theta.alpha, theta.beta), "closed_form"
-    ks = (AlgebraicNumber(a, b, 4) for a, b in zip(a4.tolist(), b4.tolist()))
-    return [amplitude_quadrature(k, theta) for k in ks], "quadrature"
+) -> list[complex]:
+    """Amplitudes at the dual-module columns: the sinc closed form for
+    affine theta on the silver window, the per-segment one otherwise."""
+    if isinstance(theta, AffineDeformation) and theta.window() == silver_window():
+        return closed_form_amplitudes(a4, b4, theta.alpha, theta.beta)
+    return segment_amplitudes(a4, b4, theta).tolist()
 
 
 def autocorrelation_finite(comb: DiracComb, max_points: int = 20000) -> DiracComb:
@@ -331,12 +368,13 @@ def scan_internal_bound(theta: DeformationMap, k_max: float, floor: float) -> fl
     """|star(k)| beyond which every amplitude is provably below sqrt(floor).
 
     From |A| <= P / (2 sqrt2 pi (|k*| - M |k|)) with M the largest slope of
-    theta and P its piece count; for the affine family this is sharp up to
-    the sinc envelope.
+    theta and P the number of linear segments the amplitude sums over;
+    for the affine family this is sharp up to the sinc envelope.
     """
     if floor <= 0:
         return max(2.0 * k_max, 1.0)
-    margin = theta.piece_count() / (_TWO_SQRT2 * math.pi * math.sqrt(floor))
+    segments = len(_segments(theta, theta.window()))
+    margin = segments / (_TWO_SQRT2 * math.pi * math.sqrt(floor))
     return theta.max_slope() * k_max + margin + 1.0
 
 
@@ -348,21 +386,24 @@ def spectrum_scan(
     """All dual-module peaks with |k| <= k_max and intensity >= the floor.
 
     The enumeration bound on star(k) is derived from the floor, so for a
-    positive floor the returned support is complete.  Affine deformations
-    use the closed form (exact coefficients keep exact zeros); sampled
-    deformations fall back to quadrature.
+    positive floor the returned support is complete.  Every amplitude is
+    a closed form: the sinc for affine deformations (exact coefficients
+    keep exact zeros), one sinc per linear segment for sampled ones.
+    Quadrature is never called.
     """
     if k_max <= 0:
         raise ValueError("k_max must be positive")
     if intensity_floor < 0:
         raise ValueError("intensity_floor must be >= 0")
     a4, b4 = dual_columns(k_max, scan_internal_bound(theta, k_max, intensity_floor))
-    amps, source = _analytic_amplitudes(a4, b4, theta)
+    amps = _analytic_amplitudes(a4, b4, theta)
     entries = []
     for a, b, amp in zip(a4.tolist(), b4.tolist(), amps):
         intensity = abs(amp) ** 2
         if intensity >= intensity_floor:
-            entries.append(SpectrumEntry(AlgebraicNumber(a, b, 4), amp, intensity, source))
+            entries.append(
+                SpectrumEntry(AlgebraicNumber(a, b, 4), amp, intensity, "closed_form")
+            )
     return Spectrum(tuple(entries), k_max, intensity_floor)
 
 
@@ -533,7 +574,7 @@ def compare_empirical_analytic(
 ) -> ComparisonTable:
     """Per-k error table between the Weyl sum of a deformed comb and the
     analytic amplitude of the deformation."""
-    amps, _ = _analytic_amplitudes(*_dual_quarters(k_list), theta)
+    amps = _analytic_amplitudes(*_dual_quarters(k_list), theta)
     return ComparisonTable(
         tuple(ComparisonRow(k, weyl_sum(comb, k), amp) for k, amp in zip(k_list, amps))
     )

@@ -135,6 +135,27 @@ class TestDiffract:
         assert time.perf_counter() - start < 5.0
         assert not (tmp_path / "spectrum_analytic.csv").exists()
 
+    def test_custom_window_exits_2(self, tmp_path, capsys):
+        # theta and every amplitude assume the silver window; a patch cut
+        # from [-1/2, 1/2] used to pass with a max error of 0.147
+        cfgfile = tmp_path / "run.json"
+        half = [{"lo": {"a": -1, "b": 0, "c": 2}, "hi": {"a": 1, "b": 0, "c": 2}}]
+        cfgfile.write_text(json.dumps({"scheme": {"window": half}}))
+        args = ["--radius", "1000", "--alpha", "0.5", "--config", str(cfgfile)]
+        code = run(
+            "diffract", *args, "--kmax", "2", "--floor", "1e-4",
+            "--out", str(tmp_path / "dif"),
+        )
+        assert code == 2
+        assert "silver window" in capsys.readouterr().err
+        assert not (tmp_path / "dif").exists()
+        for cmd in ("deform", "compare"):
+            assert run(cmd, *args, "--out", str(tmp_path / cmd)) == 2
+        # the same window spelled with other denominators is the silver one
+        silver = [{"lo": {"a": 0, "b": -2, "c": 4}, "hi": {"a": 0, "b": 1, "c": 2}}]
+        cfgfile.write_text(json.dumps({"scheme": {"window": silver}}))
+        assert run("deform", *args, "--out", str(tmp_path / "d")) == 0
+
 
 class TestSigma:
     def test_origin(self, tmp_path):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from quasilattice import cutproject
 from quasilattice.cutproject import (
     Window,
     is_member,
@@ -169,6 +170,17 @@ def test_project_patch_silver_matches_brute_force(radius):
     assert [(p.position, p.label) for p in patch.points] == _brute_project(
         radius, silver_window(), subs
     )
+
+
+@given(st.floats(0.05, 60.0), windows(), st.lists(windows(1), max_size=2), st.integers(1, 9))
+def test_project_patch_blocks_match_one_block(radius, window, subs, block):
+    subwindows = {name: w for name, w in zip("ab", subs)}
+    whole = project_patch(radius, window, subwindows)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cutproject, "_M_BLOCK", block)
+        parts = project_patch(radius, window, subwindows)
+    for name in ("a4", "b4", "label"):
+        assert getattr(parts, name).tolist() == getattr(whole, name).tolist()
 
 
 def test_project_patch_refuses_overflow_before_allocating():

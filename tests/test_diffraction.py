@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from quasilattice.cutproject import project_patch, silver_window
 from quasilattice.deform import (
@@ -209,7 +210,7 @@ class TestSpectrumScan:
     def test_pwl_scan_sources(self):
         theta = PiecewiseLinearDeformation(((-0.8, 0.0), (0.1, 0.05), (0.8, 0.0)))
         spec = spectrum_scan(theta, 1.0, 1e-3)
-        assert spec.entries and all(e.source == "quadrature" for e in spec.entries)
+        assert spec.entries and all(e.source == "closed_form" for e in spec.entries)
 
     def test_csv_layout(self):
         spec = spectrum_scan(AffineDeformation(1, 0), 1.0, 1e-6)
@@ -321,3 +322,17 @@ def test_empirical_spectrum_sources(comb_r1000):
     spec = empirical_spectrum(comb_r1000, leading_dual_elements(4))
     assert all(e.source == "empirical" for e in spec.entries)
     assert len(spec) == 4
+
+
+@given(st.integers(-60, 60), st.integers(-40, 40), st.sampled_from(leading_dual_elements(16)))
+def test_translation_multiplies_weyl_sums_by_a_phase(patch_r1000, m, n, k):
+    """Translating by a lattice vector t and trimming back to the radius
+    changes each Weyl sum by e^{-2 pi i k t}, up to the at most |t| + 1
+    points (gaps are >= 1) that crossed the boundary."""
+    t = A(m, n, 1)
+    radius = patch_r1000.radius_float
+    moved = DiracComb.from_patch(patch_r1000.translate(t).trim(radius))
+    base = weyl_sum(DiracComb.from_patch(patch_r1000), k)
+    phase = cmath.exp(-2j * math.pi * k.value() * t.value())
+    bound = (abs(t.value()) + 1.0) / (2.0 * radius)
+    assert abs(weyl_sum(moved, k) - phase * base) <= bound + 1e-12
