@@ -7,16 +7,20 @@ Usage: python scripts/weyl_convergence.py [--alpha A] [--beta B]
 
 import argparse
 
+import numpy as np
+
 from quasilattice import (
     AffineDeformation,
     AlgebraicNumber,
-    amplitude_closed,
     deform_patch,
     project_patch,
-    weyl_sum,
+    weyl_sums,
 )
+from quasilattice.diffraction import closed_form_amplitudes
 
 K_VALUES = [AlgebraicNumber(1, 0, 2), AlgebraicNumber(0, 1, 4), AlgebraicNumber(2, 1, 4)]
+# the same wave numbers as quarter-scaled columns k = (a4 + b4*sqrt2)/4
+K_A4, K_B4 = np.array([k.quarter() for k in K_VALUES], dtype=np.int64).T
 RADII = [100.0, 300.0, 1000.0, 3000.0, 10000.0]
 
 
@@ -28,14 +32,11 @@ def main() -> None:
     theta = AffineDeformation(args.alpha, args.beta)
     header = "radius".rjust(8) + "".join(f"  |err| k={k.value():+.4f}" for k in K_VALUES)
     print(header)
+    analytic = np.array(closed_form_amplitudes(K_A4, K_B4, args.alpha, args.beta))
     for r in RADII:
-        patch = project_patch(r)
-        comb = deform_patch(patch, theta)
-        row = f"{r:8.0f}"
-        for k in K_VALUES:
-            err = abs(weyl_sum(comb, k) - amplitude_closed(k, args.alpha, args.beta))
-            row += f"  {err:14.3e}"
-        print(row)
+        comb = deform_patch(project_patch(r), theta)
+        errors = np.abs(weyl_sums(comb, K_A4, K_B4) - analytic)
+        print(f"{r:8.0f}" + "".join(f"  {err:14.3e}" for err in errors))
 
 
 if __name__ == "__main__":

@@ -70,6 +70,7 @@ from .diffraction import (
     leading_dual_elements,
     spectrum_scan,
     weyl_sum,
+    weyl_sums,
 )
 
 __version__ = "0.1.0"

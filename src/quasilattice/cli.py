@@ -196,6 +196,12 @@ def _check_admissible(cfg: RunConfig, theta: DeformationMap) -> None:
             "admissibility check and the amplitudes all assume it; a custom "
             "scheme.window is only for generate and sigma"
         )
+    if cfg.mode == "substitution" and cfg.rule() != silver_mean_rule():
+        raise ConfigError(
+            "deform, diffract and compare need the silver-mean rule a -> aba, "
+            "b -> a with lengths 1+sqrt2 and 1: theta and the amplitudes "
+            "assume the silver chain; a custom scheme rule is only for generate"
+        )
     ok, worst = delone_check(theta)
     if not ok and not cfg.allow_overlap:
         raise ConfigError(

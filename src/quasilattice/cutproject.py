@@ -32,14 +32,13 @@ from .quadfield import (
     column_values,
     column_within,
 )
-from .substitution import LabeledPatch
+# _M_BLOCK: values of m that project_patch enumerates at once (radii up to
+# about 1.3e5 take one block)
+from .substitution import _M_BLOCK, LabeledPatch
 
 Interval = tuple[AlgebraicNumber, AlgebraicNumber]
 
 _SQRT2 = math.sqrt(2.0)
-# values of m that project_patch enumerates at once: its temporaries stay
-# a few MiB at any radius, and radii up to about 1.3e5 take one block
-_M_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)

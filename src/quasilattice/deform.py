@@ -17,10 +17,21 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Mapping, Sequence, Union
 
+import numpy as np
+
 from .cutproject import Window, silver_window
-from .quadfield import AlgebraicNumber, QuadRational
+from .quadfield import (
+    AlgebraicNumber,
+    CoefficientOverflowError,
+    QuadRational,
+    check_columns,
+    column_reduced,
+    column_values,
+)
 from .substitution import LabeledPatch, _csv
 
 Position = Union[AlgebraicNumber, float]
@@ -29,6 +40,8 @@ Scalar = Union[float, ExactScalar]
 
 _MERGE_TOL = 1e-12
 _SQRT2 = math.sqrt(2.0)
+# integers below this are exact as float64, so P/(4L) rounds like the Fraction
+_FLOAT_EXACT = 2**53
 
 # admissible slope range for the affine family; the b gaps close at -1
 AFFINE_ALPHA_MIN = -1.0
@@ -80,6 +93,10 @@ class AffineDeformation:
         return _scalar_float(self.alpha) * y.value() + _scalar_float(self.beta)
 
     def evaluate_float(self, y: float) -> float:
+        return _scalar_float(self.alpha) * y + _scalar_float(self.beta)
+
+    def evaluate_floats(self, y: np.ndarray) -> np.ndarray:
+        """evaluate_float over a float column, bit for bit."""
         return _scalar_float(self.alpha) * y + _scalar_float(self.beta)
 
     def max_slope(self) -> float:
@@ -142,17 +159,20 @@ class PiecewiseLinearDeformation:
         return self.evaluate_float(y.value())
 
     def evaluate_float(self, y: float) -> float:
-        ys = [p for p, _ in self.breakpoints]
-        i = bisect.bisect_left(ys, y)
-        if i < len(ys) and ys[i] == y:
-            return self.breakpoints[i][1]
+        return float(self.evaluate_floats(np.array([y], dtype=np.float64))[0])
+
+    def evaluate_floats(self, y: np.ndarray) -> np.ndarray:
+        """Linear interpolation over a float column; a query on a
+        breakpoint returns the table value."""
+        ys, vs = np.array(self.breakpoints, dtype=np.float64).T
+        i = np.searchsorted(ys, y, side="left")
+        on = np.minimum(i, len(ys) - 1)
+        tie = (i < len(ys)) & (ys[on] == y)
         # clamp to the outermost segments: float rounding of an exact domain
         # point may land a hair outside the sampled range
-        i = min(max(i, 1), len(ys) - 1)
-        y0, v0 = self.breakpoints[i - 1]
-        y1, v1 = self.breakpoints[i]
-        slope = (v1 - v0) / (y1 - y0)
-        return v0 + (y - y0) * slope
+        j = np.clip(i, 1, len(ys) - 1) - 1
+        slope = (vs[1:] - vs[:-1]) / (ys[1:] - ys[:-1])
+        return np.where(tie, vs[on], vs[j] + (y - ys[j]) * slope[j])
 
     def max_slope(self) -> float:
         return max(
@@ -204,118 +224,248 @@ class CombPoint:
         return p.value() if isinstance(p, AlgebraicNumber) else float(p)
 
 
-@dataclass(frozen=True)
-class DiracComb:
-    """Finite weighted Dirac comb, positions sorted ascending."""
+def _offset_column(values: Sequence[Position]) -> np.ndarray:
+    """Offsets as one column kind: quarter-scaled int64 rows (a4, b4) of
+    shape (2, N) when every value is an AlgebraicNumber, float64 otherwise."""
+    if all(isinstance(v, AlgebraicNumber) for v in values):
+        return np.array([v.quarter() for v in values], dtype=np.int64).reshape(-1, 2).T
+    return np.array([_scalar_float(v) for v in values], dtype=np.float64)
 
-    points: tuple[CombPoint, ...]
+
+def _float_offsets(offset: np.ndarray) -> np.ndarray:
+    return column_values(offset[0], offset[1]) if offset.ndim == 2 else offset
+
+
+@dataclass(frozen=True, eq=False)
+class DiracComb:
+    """Finite weighted Dirac comb, positions sorted ascending, as columns.
+
+    Point i sits at x_i + off_i with weight ``weight[i]`` (complex128).
+    The parent x_i = (a4[i] + b4[i]*sqrt2)/4 is the undeformed point in
+    int64 quarter-scaled columns, as in LabeledPatch (0 for a comb built
+    from arbitrary positions).  The offsets are of one kind for the whole
+    comb: exact int64 quarter-scaled rows (oa4, ob4) of shape (2, N), or
+    float64 of shape (N,); a float position is x_i.value() + off_i.  The
+    columns are read-only; ``points`` is an object view built on first use.
+    """
+
+    a4: np.ndarray
+    b4: np.ndarray
+    offset: np.ndarray
+    weight: np.ndarray
     radius: float
 
     def __post_init__(self) -> None:
-        vals = [p.position_float() for p in self.points]
-        if any(v2 < v1 for v1, v2 in zip(vals, vals[1:])):
+        a4 = np.asarray(self.a4, dtype=np.int64)
+        b4 = np.asarray(self.b4, dtype=np.int64)
+        offset = np.asarray(self.offset)
+        offset = offset.astype(np.int64 if offset.ndim == 2 else np.float64, copy=False)
+        weight = np.asarray(self.weight, dtype=np.complex128)
+        if (a4.ndim != 1 or b4.shape != a4.shape or weight.shape != a4.shape
+                or offset.shape not in (a4.shape, (2, *a4.shape))):
+            raise ValueError("a4, b4, offset and weight must be columns of one length")
+        check_columns(a4, b4)
+        if offset.ndim == 2:
+            check_columns(*offset)
+            positions = column_values(a4 + offset[0], b4 + offset[1])
+        else:
+            positions = column_values(a4, b4) + offset
+        if (np.diff(positions) < 0).any():
             raise ValueError("positions must be sorted")
+        for name, col in (("a4", a4), ("b4", b4), ("offset", offset), ("weight", weight),
+                          ("_positions", positions)):
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.a4)
 
-    def positions_float(self) -> list[float]:
-        return [p.position_float() for p in self.points]
+    @property
+    def is_exact(self) -> bool:
+        return self.offset.ndim == 2
+
+    def exact_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Quarter-scaled (a4, b4) of the positions of an exact comb."""
+        if not self.is_exact:
+            raise ValueError("a float comb has no exact positions")
+        return self.a4 + self.offset[0], self.b4 + self.offset[1]
+
+    def lattice_split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(la4, lb4, rest): position i is (la4[i] + lb4[i]*sqrt2)/4 + rest[i]
+        with the first part the parent rounded down into Z[sqrt2] (la4, lb4
+        multiples of 4) and a float rest within 1 + sqrt2 of the offset
+        (the offset itself when the parent lies in Z[sqrt2])."""
+        ra, rb = self.a4 % 4, self.b4 % 4
+        return self.a4 - ra, self.b4 - rb, column_values(ra, rb) + _float_offsets(self.offset)
+
+    def positions_float(self) -> np.ndarray:
+        return self._positions
+
+    @cached_property
+    def points(self) -> tuple[CombPoint, ...]:
+        """The points as CombPoint objects, built on first use."""
+        if self.is_exact:
+            a4, b4 = self.exact_columns()
+            pos: list = [AlgebraicNumber(a, b, 4) for a, b in zip(a4.tolist(), b4.tolist())]
+        else:
+            pos = self._positions.tolist()
+        return tuple(map(CombPoint, pos, self.weight.tolist()))
 
     def mass(self) -> complex:
-        return sum((p.weight for p in self.points), 0j)
+        return sum(self.weight.tolist(), 0j)
 
     def translate(self, t: Position) -> DiracComb:
-        pts = []
-        for p in self.points:
-            if isinstance(p.position, AlgebraicNumber) and isinstance(
-                t, AlgebraicNumber
-            ):
-                pos: Position = p.position + t
-            else:
-                pos = p.position_float() + (
-                    t.value() if isinstance(t, AlgebraicNumber) else float(t)
-                )
-            pts.append(CombPoint(pos, p.weight))
-        return DiracComb(tuple(pts), self.radius + abs(_scalar_float(t)))
+        """Shift every point by t: an exact t moves the parents, a float
+        one the offsets (and makes the comb float)."""
+        radius = self.radius + abs(_scalar_float(t))
+        if isinstance(t, AlgebraicNumber):
+            ta, tb = t.quarter()
+            return DiracComb(self.a4 + ta, self.b4 + tb, self.offset, self.weight, radius)
+        offset = _float_offsets(self.offset) + float(t)
+        return DiracComb(self.a4, self.b4, offset, self.weight, radius)
 
     def restrict(self, lo: float, hi: float) -> list[CombPoint]:
         return [p for p in self.points if lo <= p.position_float() <= hi]
 
     def to_csv(self) -> str:
-        def row(p: CombPoint) -> tuple:
-            pos, w = p.position, complex(p.weight)
-            if isinstance(pos, AlgebraicNumber):
-                abc = (pos.a, pos.b, pos.c)
-            else:
-                abc = ("", "", "")
-            return (p.position_float(), *abc, w.real, w.imag)
-
-        # %s takes the ints of an exact position and the blanks of a float one
-        return _csv(
-            "position_float,a,b,c,label,weight_re,weight_im",
-            "%.17g,%s,%s,%s,,%.17g,%.17g",
-            map(row, self.points),
-        )
+        header = "position_float,a,b,c,label,weight_re,weight_im"
+        w = self.weight
+        pos = self._positions.tolist()
+        if self.is_exact:
+            a, b, c = column_reduced(*self.exact_columns())
+            rows = zip(pos, a.tolist(), b.tolist(), c.tolist(), w.real.tolist(), w.imag.tolist())
+            return _csv(header, "%.17g,%d,%d,%d,,%.17g,%.17g", rows)
+        return _csv(header, "%.17g,,,,,%.17g,%.17g", zip(pos, w.real.tolist(), w.imag.tolist()))
 
     @classmethod
     def from_patch(cls, patch: LabeledPatch) -> DiracComb:
-        pts = tuple(CombPoint(x, 1.0 + 0.0j) for x in patch.positions())
-        return cls(pts, patch.radius_float)
+        n = len(patch)
+        return cls(patch.a4, patch.b4, np.zeros((2, n), dtype=np.int64),
+                   np.ones(n, dtype=np.complex128), patch.radius_float)
 
     @classmethod
     def from_items(
         cls, items: Sequence[tuple[Position, complex]], radius: float
     ) -> DiracComb:
-        pts = [CombPoint(pos, w) for pos, w in items]
-        pts.sort(key=CombPoint.position_float)
-        return cls(tuple(pts), radius)
+        """Points at arbitrary positions (parent 0, the position as offset),
+        sorted stably by position; coincident points are kept apart."""
+        offset = _offset_column([pos for pos, _ in items])
+        weight = np.array([w for _, w in items], dtype=np.complex128)
+        order = np.argsort(_float_offsets(offset), kind="stable")
+        zero = np.zeros(len(items), dtype=np.int64)
+        return cls(zero, zero, offset[..., order], weight[order], radius)
 
 
-def _merge_points(raw: list[tuple[Position, complex]]) -> list[CombPoint]:
-    """Accumulate weights of coincident positions.
+def _float_groups(pos: np.ndarray) -> np.ndarray:
+    """Group starts of ascending floats: a point joins the group of its
+    predecessor when it lies within _MERGE_TOL of that group's first point.
 
-    Exact positions merge on exact equality; float positions merge when
-    closer than 1e-12.
+    A run of close neighbours spanning less than the tolerance is one
+    group; only longer runs are scanned point by point.
     """
-    exact: dict[AlgebraicNumber, complex] = {}
-    floats: list[tuple[float, complex]] = []
-    for pos, w in raw:
-        if isinstance(pos, AlgebraicNumber):
-            exact[pos] = exact.get(pos, 0j) + w
-        else:
-            floats.append((float(pos), w))
-    out: list[tuple[Position, complex]] = list(exact.items())
-    floats.sort(key=lambda t: t[0])
-    for pos, w in floats:
-        if out and not isinstance(out[-1][0], AlgebraicNumber):
-            lpos, lw = out[-1]
-            if abs(pos - lpos) < _MERGE_TOL:
-                out[-1] = (lpos, lw + w)
-                continue
-        out.append((pos, w))
-    pts = [CombPoint(pos, w) for pos, w in out]
-    pts.sort(key=CombPoint.position_float)
-    return pts
+    start = np.ones(len(pos), dtype=bool)
+    start[1:] = np.diff(pos) >= _MERGE_TOL
+    firsts = np.flatnonzero(start)
+    lasts = np.append(firsts[1:], len(pos)) - 1
+    wide = pos[lasts] - pos[firsts] >= _MERGE_TOL
+    for s, e in zip(firsts[wide].tolist(), lasts[wide].tolist()):
+        first = s
+        for i in range(s + 1, e + 1):
+            if pos[i] - pos[first] >= _MERGE_TOL:
+                start[i] = True
+                first = i
+    return start
+
+
+def _merged(
+    a4: np.ndarray, b4: np.ndarray, offset: np.ndarray, weight: np.ndarray, radius: float
+) -> DiracComb:
+    """The comb of the given points, sorted by position, with coincident
+    points merged into the first of them by weight addition (in input
+    order for exact positions, in sorted order for floats).
+
+    Exact positions merge on exact equality (one np.unique over packed
+    keys), float positions when closer than 1e-12 to the first point of
+    their group.
+    """
+    if offset.ndim == 2:
+        pa, pb = a4 + offset[0], b4 + offset[1]
+        check_columns(pa, pb)
+        # lexicographic (pa, pb); below 2**31 the key stays inside int64
+        keys = pa * (1 << 32) + (pb + (1 << 31))
+        _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+        acc = np.zeros(len(first), dtype=np.complex128)
+        np.add.at(acc, group, weight)
+        order = np.argsort(column_values(pa[first], pb[first]), kind="stable")
+        keep, acc = first[order], acc[order]
+    else:
+        pos = column_values(a4, b4) + offset
+        order = np.argsort(pos, kind="stable")
+        start = _float_groups(pos[order])
+        w = weight[order]
+        acc = w[start]
+        np.add.at(acc, np.cumsum(start)[~start] - 1, w[~start])
+        keep = order[start]
+    return DiracComb(a4[keep], b4[keep], offset[..., keep], acc, radius)
+
+
+def _exact_affine(
+    theta: AffineDeformation, a4: np.ndarray, b4: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(parent a4, parent b4, offset) of x + theta(x*) for an exact affine
+    theta, on integer columns.
+
+    With alpha = (R + S*sqrt2)/L and beta = (Rb + Sb*sqrt2)/L over one
+    denominator L, theta(x*) = (P + Q*sqrt2)/(4L) for the int64 columns
+    P = R*a4 - 2S*b4 + 4Rb and Q = S*a4 - R*b4 + 4Sb.  When L divides every
+    P and Q the offsets are the exact rows (P/L, Q/L).  Otherwise the comb
+    is float: a row with an exact shift becomes the parent x + theta(x*)
+    with offset 0, any other keeps x and takes the float shift
+    P/(4L) + (Q/(4L))*sqrt2, so positions round as the Fraction values do.
+    Operands of 2**53 or more raise CoefficientOverflowError first.
+    """
+    alpha, beta = QuadRational.of(theta.alpha), QuadRational.of(theta.beta)
+    d = lcm(*(f.denominator for f in (alpha.rat, alpha.irr, beta.rat, beta.irr)))
+    r, s = int(alpha.rat * d), int(alpha.irr * d)
+    rb, sb = int(beta.rat * d), int(beta.irr * d)
+    amax = int(np.abs(a4).max(initial=0))
+    bmax = int(np.abs(b4).max(initial=0))
+    p_bound = abs(r) * amax + 2 * abs(s) * bmax + 4 * abs(rb)
+    q_bound = abs(s) * amax + abs(r) * bmax + 4 * abs(sb)
+    if max(4 * d, p_bound, q_bound) >= _FLOAT_EXACT:
+        raise CoefficientOverflowError(
+            f"alpha = {alpha}, beta = {beta} need shift operands beyond 2**53"
+        )
+    p = r * a4 - 2 * s * b4 + 4 * rb
+    q = s * a4 - r * b4 + 4 * sb
+    exact = (p % d == 0) & (q % d == 0)
+    if exact.all():
+        return a4, b4, np.stack([p // d, q // d])
+    pa = np.where(exact, a4 + p // d, a4)
+    pb = np.where(exact, b4 + q // d, b4)
+    four_d = float(4 * d)
+    return pa, pb, np.where(exact, 0.0, p / four_d + (q / four_d) * _SQRT2)
 
 
 def deform_patch(patch: LabeledPatch, theta: DeformationMap) -> DiracComb:
-    """{x + theta(star(x))} over the patch, each point of unit weight.
+    """{x + theta(star(x))} over the patch, each point of unit weight,
+    on whole columns.
 
-    The comb holds one kind of position: exact when every shift is exact,
-    float otherwise (an exact theta gives float shifts where its values
-    leave the quarter-integers)."""
-    raw: list[tuple[Position, complex]] = []
-    for x in patch.positions():
-        shift = theta.evaluate(x.star())
-        if isinstance(shift, AlgebraicNumber):
-            pos: Position = x + shift
-        else:
-            pos = x.value() + shift
-        raw.append((pos, 1.0 + 0.0j))
-    if not all(isinstance(pos, AlgebraicNumber) for pos, _ in raw):
-        raw = [(float(pos), w) for pos, w in raw]
-    return DiracComb(tuple(_merge_points(raw)), patch.radius_float)
+    The comb holds one kind of position: exact when every shift is a
+    quarter-integer, float otherwise (an exact theta gives float shifts
+    where its values leave the quarter-integers).  Coincident points merge.
+    """
+    a4, b4 = patch.a4, patch.b4
+    inside = theta.window().mask(a4, -b4)
+    if not inside.all():
+        i = int(np.argmin(inside))
+        y = AlgebraicNumber(int(a4[i]), -int(b4[i]), 4)
+        raise ValueError(f"{y} is outside the deformation domain")
+    if isinstance(theta, AffineDeformation) and theta.is_exact():
+        a4, b4, offset = _exact_affine(theta, a4, b4)
+    else:
+        offset = theta.evaluate_floats(column_values(a4, -b4))
+    return _merged(a4, b4, offset, np.ones(len(a4), dtype=np.complex128), patch.radius_float)
 
 
 def interval_ratio(alpha: float) -> float:
@@ -426,23 +576,28 @@ def local_configuration(
 
 def deform_measure(comb: DiracComb, rule: KernelRule) -> DiracComb:
     """Replace every point by its translated kernel; coincident output
-    positions merge by weight addition."""
-    positions = comb.positions_float()
-    raw: list[tuple[Position, complex]] = []
-    for i, p in enumerate(comb.points):
+    positions merge by weight addition.  The output is exact when the comb
+    and every kernel offset are, float otherwise."""
+    positions = comb.positions_float().tolist()
+    index: list[int] = []
+    offsets: list[Position] = []
+    weights: list[complex] = []
+    for i, w in enumerate(comb.weight.tolist()):
         if isinstance(rule, LocalKernel):
             kernel = rule.select(local_configuration(positions, i, rule.local_radius))
         else:
             kernel = rule.select(())
         for off, kw in kernel:
-            if isinstance(p.position, AlgebraicNumber) and isinstance(
-                off, AlgebraicNumber
-            ):
-                pos: Position = p.position + off
-            else:
-                pos = p.position_float() + _scalar_float(off)
-            raw.append((pos, p.weight * kw))
-    return DiracComb(tuple(_merge_points(raw)), comb.radius)
+            index.append(i)
+            offsets.append(off)
+            weights.append(w * kw)
+    idx = np.array(index, dtype=np.int64)
+    extra = _offset_column(offsets)
+    if comb.is_exact and extra.ndim == 2:
+        offset = comb.offset[:, idx] + extra
+    else:
+        offset = _float_offsets(comb.offset)[idx] + _float_offsets(extra)
+    return _merged(comb.a4[idx], comb.b4[idx], offset, np.array(weights, dtype=np.complex128), comb.radius)
 
 
 def detect_periods(

@@ -38,7 +38,9 @@ from .deform import (
     DeformationMap,
     DiracComb,
     Scalar,
+    _FLOAT_EXACT,
     _is_exact,
+    _merged,
     _scalar_float,
 )
 from .quadfield import (
@@ -54,8 +56,10 @@ from .substitution import _csv
 _SQRT2 = math.sqrt(2.0)
 _TWO_SQRT2 = 2.0 * _SQRT2
 _GL_ORDER = 8
-# integers below this are exact as float64, so P/(4D) rounds like the Fraction
-_FLOAT_EXACT = 2**53
+# k x N phases per block of weyl_sums: the temporaries stay near 200 KiB.
+# Blocks of 2**14 raised the peak RSS of a diffract run by 0.4 MiB (2**16
+# by 2.6 MiB) and summed no faster
+_WEYL_BLOCK = 1 << 12
 
 DEFAULT_PANELS = 4096
 DEFAULT_INTENSITY_FLOOR = 1e-8
@@ -75,19 +79,79 @@ def compensated_sum(values: Iterable[complex]) -> complex:
     return complex(sr + cr, si + ci)
 
 
-def weyl_sum(comb: DiracComb, k: float | AlgebraicNumber) -> complex:
-    """Normalised exponential sum (1/2r) * sum of w_x e^{-2 pi i k x}."""
+def _divided(values: np.ndarray, norm: float) -> np.ndarray:
+    """values / norm with each part divided separately, as Python's complex
+    division by a float does (numpy's complex division is not correctly
+    rounded)."""
+    out = np.empty_like(values)
+    out.real, out.imag = values.real / norm, values.imag / norm
+    return out
+
+
+def _phase_sums(
+    u: np.ndarray | None, y: np.ndarray | None, v: np.ndarray, z: np.ndarray,
+    weight: np.ndarray,
+) -> np.ndarray:
+    """sum_j weight_j e^{2 pi i (u_i y_j - v_i z_j)} for every row i (no
+    u*y term when u is None), in blocks of at most _WEYL_BLOCK phases."""
+    n = len(weight)
+    cols = max(1, min(n, _WEYL_BLOCK))
+    rows = max(1, _WEYL_BLOCK // cols)
+    two_pi_v = 2.0 * math.pi * v[:, None]
+    two_pi_u = None if u is None else 2.0 * math.pi * u[:, None]
+    out = np.zeros(len(v), dtype=np.complex128)
+    for i in range(0, len(v), rows):
+        for j in range(0, n, cols):
+            phase = two_pi_v[i:i + rows] * -z[j:j + cols]
+            if two_pi_u is not None:
+                phase += two_pi_u[i:i + rows] * y[j:j + cols]
+            # a row sum, not a BLAS product: BLAS adds its buffers to the
+            # peak memory of a diffract run
+            out[i:i + rows] += (np.exp(1j * phase) * weight[j:j + cols]).sum(axis=1)
+    return out
+
+
+def weyl_sums(comb: DiracComb, a4: np.ndarray, b4: np.ndarray) -> np.ndarray:
+    """Normalised exponential sums (1/2r) * sum of w_x e^{-2 pi i k x} at
+    the dual-module wave numbers k = (a4 + b4*sqrt2)/4, one per row,
+    summed in internal space.
+
+    Each position is x_L + rest with x_L in Z[sqrt2] (``lattice_split``).
+    For k in the dual module k*x_L + star(k)*star(x_L) is an integer
+    (``dual_pairing``), so e^{-2 pi i k x} = e^{2 pi i (k* x_L* - k rest)}:
+    the phase is bounded by the window and the offsets at any radius, and
+    its rounding error with it.  A row whose |k*| is large against
+    |k| * radius (a small comb scanned far out in k*) keeps the phase k*x,
+    whichever bound is smaller.  Each form is one numpy expression over
+    its rows, in blocks of at most _WEYL_BLOCK k x N phases.
+    """
     if comb.radius <= 0:
         raise ValueError("comb radius must be positive")
-    kv = k.value() if isinstance(k, AlgebraicNumber) else float(k)
-    two_pi_k = 2.0 * math.pi * kv
+    a4, b4 = np.asarray(a4, dtype=np.int64), np.asarray(b4, dtype=np.int64)
+    if (a4 % 2).any():
+        raise ValueError("wave numbers must lie in the dual module")
+    la4, lb4, rest = comb.lattice_split()
+    kv, ks, ys = column_values(a4, b4), column_values(a4, -b4), column_values(la4, -lb4)
+    pos = comb.positions_float()
+    ymax, rmax, xmax = (np.abs(c).max(initial=0.0) for c in (ys, rest, pos))
+    inner = np.abs(ks) * ymax + np.abs(kv) * rmax <= np.abs(kv) * xmax
+    sums = np.empty(len(kv), dtype=np.complex128)
+    sums[inner] = _phase_sums(ks[inner], ys, kv[inner], rest, comb.weight)
+    sums[~inner] = _phase_sums(None, None, kv[~inner], pos, comb.weight)
+    return _divided(sums, 2.0 * comb.radius)
 
-    def terms() -> Iterable[complex]:
-        for p in comb.points:
-            ph = -two_pi_k * p.position_float()
-            yield p.weight * complex(math.cos(ph), math.sin(ph))
 
-    return compensated_sum(terms()) / (2.0 * comb.radius)
+def weyl_sum(comb: DiracComb, k: float | AlgebraicNumber) -> complex:
+    """Normalised exponential sum (1/2r) * sum of w_x e^{-2 pi i k x}: the
+    one-row call of ``weyl_sums`` for a dual-module k; any other k (a
+    float, or a number off the dual module) takes the phase k*x directly."""
+    if isinstance(k, AlgebraicNumber) and k.dual_coords() is not None:
+        return complex(weyl_sums(comb, *_dual_quarters([k]))[0])
+    if comb.radius <= 0:
+        raise ValueError("comb radius must be positive")
+    kv = np.array([k.value() if isinstance(k, AlgebraicNumber) else float(k)])
+    s = _phase_sums(None, None, kv, comb.positions_float(), comb.weight)
+    return complex(s[0]) / (2.0 * comb.radius)
 
 
 def _require_dual(k: AlgebraicNumber) -> tuple[int, int]:
@@ -99,8 +163,12 @@ def _require_dual(k: AlgebraicNumber) -> tuple[int, int]:
 
 def _dual_quarters(ks: Sequence[AlgebraicNumber]) -> tuple[np.ndarray, np.ndarray]:
     """The quarter-scaled columns (a4, b4) of dual-module wave numbers."""
-    mn = np.array([_require_dual(k) for k in ks], dtype=np.int64).reshape(-1, 2)
-    return 2 * mn[:, 0], mn[:, 1]
+    a4 = np.fromiter((k.a * (4 // k.c) for k in ks), dtype=np.int64, count=len(ks))
+    b4 = np.fromiter((k.b * (4 // k.c) for k in ks), dtype=np.int64, count=len(ks))
+    odd = np.flatnonzero(a4 % 2)
+    if len(odd):
+        _require_dual(ks[odd[0]])
+    return a4, b4
 
 
 def _exact_z_over_pi(
@@ -231,7 +299,7 @@ def _quad_grid(
         ws.append((half * weights1[None, :]).ravel())
     y = np.concatenate(ys)
     w = np.concatenate(ws)
-    tv = np.array([theta.evaluate_float(float(v)) for v in y])
+    tv = theta.evaluate_floats(y)
     return y, w, tv
 
 
@@ -267,51 +335,25 @@ def _analytic_amplitudes(
 
 def autocorrelation_finite(comb: DiracComb, max_points: int = 20000) -> DiracComb:
     """Sum over ordered pairs of conj(w_x) w_y at position y - x, divided by
-    the averaging length 2*radius.  Positions stay exact for exact combs."""
-    n = len(comb.points)
+    the averaging length 2*radius.  Positions stay exact for exact combs;
+    coincident differences merge as in deform_patch."""
+    n = len(comb)
     if n > max_points:
         raise ValueError(f"comb has {n} points, above the quadratic-cost cap {max_points}")
-    norm = 2.0 * comb.radius
-    if n == 0:
-        return DiracComb((), comb.radius)
-    exact = all(isinstance(p.position, AlgebraicNumber) for p in comb.points)
-    weights = np.array([p.weight for p in comb.points], dtype=complex)
-    wprod = (np.conj(weights)[:, None] * weights[None, :]).ravel()
-    if exact:
-        a4 = np.array(
-            [p.position.a * (4 // p.position.c) for p in comb.points], dtype=np.int64
-        )
-        b4 = np.array(
-            [p.position.b * (4 // p.position.c) for p in comb.points], dtype=np.int64
-        )
-        bound = int(max(np.abs(a4).max(), np.abs(b4).max()))
-        if bound >= 1 << 30:
+    w = comb.weight
+    wprod = (np.conj(w)[:, None] * w[None, :]).ravel()
+    if comb.is_exact:
+        a4, b4 = comb.exact_columns()
+        if int(max(np.abs(a4).max(initial=0), np.abs(b4).max(initial=0))) >= 1 << 30:
             raise ValueError("coefficients too large to pack difference keys")
-        off = 2 * bound + 1  # differences lie in (-off, off)
-        base = 2 * off + 1
-        da = (a4[None, :] - a4[:, None]).ravel()
-        db = (b4[None, :] - b4[:, None]).ravel()
-        keys = (da + off) * base + (db + off)
-        uniq, inv = np.unique(keys, return_inverse=True)
-        acc = np.zeros(len(uniq), dtype=complex)
-        np.add.at(acc, inv, wprod)
-        items = []
-        for key, wsum in zip(uniq, acc):
-            ka = int(key) // base - off
-            kb = int(key) % base - off
-            items.append((AlgebraicNumber(ka, kb, 4), complex(wsum) / norm))
-        return DiracComb.from_items(items, comb.radius)
-    pos = np.array(comb.positions_float())
-    diffs = (pos[None, :] - pos[:, None]).ravel()
-    order = np.argsort(diffs, kind="stable")
-    items_f: list[tuple[float, complex]] = []
-    for idx in order:
-        d, w = float(diffs[idx]), complex(wprod[idx])
-        if items_f and abs(d - items_f[-1][0]) < 1e-12:
-            items_f[-1] = (items_f[-1][0], items_f[-1][1] + w)
-        else:
-            items_f.append((d, w))
-    return DiracComb.from_items([(d, w / norm) for d, w in items_f], comb.radius)
+        offset = np.stack([(a4[None, :] - a4[:, None]).ravel(), (b4[None, :] - b4[:, None]).ravel()])
+    else:
+        pos = comb.positions_float()
+        offset = (pos[None, :] - pos[:, None]).ravel()
+    zero = np.zeros(n * n, dtype=np.int64)
+    merged = _merged(zero, zero, offset, wprod, comb.radius)
+    weight = _divided(merged.weight, 2.0 * comb.radius)
+    return DiracComb(merged.a4, merged.b4, merged.offset, weight, comb.radius)
 
 
 @dataclass(frozen=True)
@@ -410,13 +452,14 @@ def spectrum_scan(
 def empirical_spectrum(
     comb: DiracComb, k_values: Sequence[AlgebraicNumber]
 ) -> Spectrum:
-    """Weyl-sum amplitudes of a finite comb at the given wave numbers."""
-    entries = []
-    for k in k_values:
-        s = weyl_sum(comb, k)
-        entries.append(SpectrumEntry(k, s, abs(s) ** 2, "empirical"))
+    """Weyl-sum amplitudes of a finite comb at the given dual-module wave
+    numbers, all in one ``weyl_sums`` call."""
+    sums = weyl_sums(comb, *_dual_quarters(k_values)).tolist()
+    entries = tuple(
+        SpectrumEntry(k, s, abs(s) ** 2, "empirical") for k, s in zip(k_values, sums)
+    )
     kmax = max((abs(k.value()) for k in k_values), default=0.0)
-    return Spectrum(tuple(entries), kmax, 0.0)
+    return Spectrum(entries, kmax, 0.0)
 
 
 @dataclass(frozen=True)
@@ -574,10 +617,10 @@ def compare_empirical_analytic(
 ) -> ComparisonTable:
     """Per-k error table between the Weyl sum of a deformed comb and the
     analytic amplitude of the deformation."""
-    amps = _analytic_amplitudes(*_dual_quarters(k_list), theta)
-    return ComparisonTable(
-        tuple(ComparisonRow(k, weyl_sum(comb, k), amp) for k, amp in zip(k_list, amps))
-    )
+    a4, b4 = _dual_quarters(k_list)
+    amps = _analytic_amplitudes(a4, b4, theta)
+    sums = weyl_sums(comb, a4, b4).tolist()
+    return ComparisonTable(tuple(map(ComparisonRow, k_list, sums, amps)))
 
 
 def leading_dual_elements(count: int, k_max: float = 2.0) -> list[AlgebraicNumber]:

@@ -258,6 +258,18 @@ def column_values(a4: np.ndarray, b4: np.ndarray) -> np.ndarray:
     return out
 
 
+def column_reduced(
+    a4: np.ndarray, b4: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The reduced (a, b, c) of (a4 + b4*sqrt2)/4, elementwise, as
+    AlgebraicNumber stores it."""
+    a, b, c = a4, b4, np.full(len(a4), 4, dtype=np.int64)
+    for _ in range(2):
+        half = (a % 2 == 0) & (b % 2 == 0) & (c > 1)
+        a, b, c = (np.where(half, v // 2, v) for v in (a, b, c))
+    return a, b, c
+
+
 def column_within(
     a4: np.ndarray, b4: np.ndarray, radius: float | AlgebraicNumber
 ) -> np.ndarray:

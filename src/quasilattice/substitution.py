@@ -23,10 +23,17 @@ from .quadfield import (
     AlgebraicNumber,
     CoefficientOverflowError,
     check_columns,
+    column_reduced,
     column_signs,
     column_values,
     column_within,
 )
+
+
+# points per block of column work (patch validation here, values of m in
+# cutproject.project_patch): temporaries stay a few MiB at any size, and
+# patches up to 65,536 points take one block
+_M_BLOCK = 1 << 16
 
 
 def _csv(header: str, fmt: str, rows: Iterable[tuple]) -> str:
@@ -178,10 +185,16 @@ class LabeledPatch:
         if a4.ndim != 1 or a4.shape != b4.shape or a4.shape != label.shape:
             raise ValueError("a4, b4 and label must be columns of one length")
         check_columns(a4, b4)
-        if (column_signs(np.diff(a4), np.diff(b4)) <= 0).any():
-            raise ValueError("positions must be strictly increasing")
-        if not column_within(a4, b4, self.radius).all():
-            raise ValueError("position outside [-radius, radius]")
+        # in blocks of _M_BLOCK points, so the temporaries stay a few MiB;
+        # all order checks come first, as on whole columns
+        starts = range(0, len(a4), _M_BLOCK)
+        for s in starts:
+            lo, hi = max(s - 1, 0), s + _M_BLOCK
+            if (column_signs(np.diff(a4[lo:hi]), np.diff(b4[lo:hi])) <= 0).any():
+                raise ValueError("positions must be strictly increasing")
+        for s in starts:
+            if not column_within(a4[s:s + _M_BLOCK], b4[s:s + _M_BLOCK], self.radius).all():
+                raise ValueError("position outside [-radius, radius]")
         for name, col in (("a4", a4), ("b4", b4), ("label", label)):
             col.flags.writeable = False
             object.__setattr__(self, name, col)
@@ -232,11 +245,7 @@ class LabeledPatch:
         return LabeledPatch(self.a4[keep], self.b4[keep], self.label[keep], radius)
 
     def to_csv(self) -> str:
-        # the reduced (a, b, c) of each position, as AlgebraicNumber stores it
-        a, b, c = self.a4, self.b4, np.full(len(self), 4, dtype=np.int64)
-        for _ in range(2):
-            half = (a % 2 == 0) & (b % 2 == 0) & (c > 1)
-            a, b, c = (np.where(half, v // 2, v) for v in (a, b, c))
+        a, b, c = column_reduced(self.a4, self.b4)
         rows = zip(
             self.positions_float().tolist(),
             a.tolist(),

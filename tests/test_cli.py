@@ -76,6 +76,17 @@ class TestDeform:
         )
         assert code == 0
 
+    def test_shift_operands_beyond_2_53_exit_3_at_once(self, tmp_path):
+        # the shifts of alpha = 1/(2**52 + 1) need a denominator 4L > 2**53
+        start = time.perf_counter()
+        code = run(
+            "deform", "--radius", "1000", "--alpha", "1/4503599627370497",
+            "--out", str(tmp_path),
+        )
+        assert code == 3
+        assert time.perf_counter() - start < 5.0
+        assert not (tmp_path / "deformed.csv").exists()
+
 
 class TestDiffract:
     def test_alpha_one_support_half_integers(self, tmp_path):
@@ -278,6 +289,30 @@ class TestConfigHandling:
         proj = tmp_path / "p"
         assert run("generate", "--radius", "30", "--out", str(proj)) == 0
         assert read(tmp_path / "g" / "patch.csv") == read(proj / "patch.csv")
+
+    def test_custom_rule_exits_2(self, tmp_path, capsys):
+        # theta and the amplitudes assume the silver chain; the silver rule
+        # with doubled lengths used to exit 2 only by accident, with a
+        # message about the deformation domain
+        from quasilattice.quadfield import AlgebraicNumber
+        from quasilattice.substitution import SubstitutionRule, rule_to_json, silver_mean_rule
+
+        silver = silver_mean_rule()
+        doubled = SubstitutionRule(
+            silver.images, {ch: ln * AlgebraicNumber(2, 0, 1) for ch, ln in silver.lengths.items()}
+        )
+        cfgfile = tmp_path / "rule.json"
+        cfgfile.write_text(json.dumps({"scheme": rule_to_json(doubled), "mode": "substitution"}))
+        args = ["--radius", "1000", "--alpha", "0.5", "--config", str(cfgfile)]
+        for cmd, extra in (("diffract", ["--kmax", "2", "--floor", "1e-4"]), ("deform", []),
+                           ("compare", ["--count", "5"])):
+            assert run(cmd, *args, *extra, "--out", str(tmp_path / cmd)) == 2
+            assert "silver-mean rule" in capsys.readouterr().err
+            assert not (tmp_path / cmd).exists()
+        # generate keeps custom rules; the silver rule spelled out is accepted
+        assert run("generate", *args, "--out", str(tmp_path / "g")) == 0
+        cfgfile.write_text(json.dumps({"scheme": rule_to_json(silver), "mode": "substitution"}))
+        assert run("deform", *args, "--out", str(tmp_path / "d")) == 0
 
     def test_exact_alpha_string_in_config(self, tmp_path):
         cfgfile = tmp_path / "run.json"

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from quasilattice import cutproject
+from quasilattice import cutproject, substitution
 from quasilattice.cutproject import (
     Window,
     is_member,
@@ -181,6 +181,40 @@ def test_project_patch_blocks_match_one_block(radius, window, subs, block):
         parts = project_patch(radius, window, subwindows)
     for name in ("a4", "b4", "label"):
         assert getattr(parts, name).tolist() == getattr(whole, name).tolist()
+
+
+def _validation_outcome(a4, b4, radius):
+    try:
+        LabeledPatch(a4, b4, np.full(len(a4), None, dtype=object), radius)
+    except ValueError as exc:
+        return str(exc)
+    return "accepted"
+
+
+@given(
+    st.integers(0, 40), st.integers(0, 40),
+    st.sampled_from(["valid", "swap", "repeat", "outside", "swap and outside"]),
+    st.integers(1, 9),
+)
+def test_patch_validation_blocks_match_one_block(i, j, fault, block):
+    # columns of the radius-20 chain with an order fault near i and/or a
+    # radius fault at j; the order message wins when both are present
+    base = project_patch(20.0)
+    a4, b4 = base.a4.copy(), base.b4.copy()
+    i, j = i % (len(a4) - 1), j % len(a4)
+    if "swap" in fault:
+        a4[[i, i + 1]], b4[[i, i + 1]] = a4[[i + 1, i]], b4[[i + 1, i]]
+    if fault == "repeat":
+        a4[i + 1], b4[i + 1] = a4[i], b4[i]
+    radius = 20.0
+    if "outside" in fault:
+        radius = float(abs(column_values(a4[j:j + 1], b4[j:j + 1])[0])) * (1 - 1e-9)
+        radius = max(radius, 1e-3)
+    whole = _validation_outcome(a4, b4, radius)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(substitution, "_M_BLOCK", block)
+        assert _validation_outcome(a4, b4, radius) == whole
+    assert (whole == "accepted") == (fault == "valid")
 
 
 def test_project_patch_refuses_overflow_before_allocating():

@@ -1,12 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from quasilattice.cutproject import project_patch
 from quasilattice.deform import (
     AffineDeformation,
-    CombPoint,
     DiracComb,
     FixedKernel,
     LocalKernel,
@@ -152,7 +152,7 @@ class TestDensity:
             assert abs(density(comb) - base) <= 2.0 / (2.0 * 200.0)
 
     def test_empty(self):
-        assert density(DiracComb((), 5.0)) == 0.0
+        assert density(DiracComb.from_items([], 5.0)) == 0.0
 
 
 def _brute_configuration(positions, index, local_radius):
@@ -294,8 +294,9 @@ class TestDetectPeriods:
 
 class TestDiracComb:
     def test_sorted_validation(self):
+        zero = np.zeros(2, dtype=np.int64)
         with pytest.raises(ValueError):
-            DiracComb((CombPoint(1.0, 1.0), CombPoint(0.0, 1.0)), 2.0)
+            DiracComb(zero, zero, np.array([1.0, 0.0]), np.ones(2, dtype=complex), 2.0)
 
     def test_csv_header_and_exact_columns(self, patch200):
         comb = DiracComb.from_patch(patch200)
