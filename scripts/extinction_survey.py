@@ -7,20 +7,13 @@ how many land inside |k| <= k_max and what the surviving support spans.
 """
 
 import argparse
-from fractions import Fraction
 
-from quasilattice import QuadRational, extinction_report
+from quasilattice import extinction_report, parse_exact
 
-FAMILY = [
-    QuadRational(Fraction(0), Fraction(0)),
-    QuadRational(Fraction(1), Fraction(0)),
-    QuadRational(Fraction(2), Fraction(0)),
-    QuadRational(Fraction(1, 2), Fraction(0)),
-    QuadRational(Fraction(1, 3), Fraction(0)),
-    QuadRational(Fraction(1), Fraction(1)),       # 1 + sqrt2
-    QuadRational(Fraction(1), Fraction(1, 2)),    # 1 + sqrt2/2
-    QuadRational(Fraction(3), Fraction(-2)),      # 3 - 2*sqrt2, ratio 2
-]
+# 3-2*sqrt2 gives the interval ratio 2
+FAMILY = [parse_exact(t) for t in (
+    "0", "1", "2", "1/2", "1/3", "1+sqrt2", "1+1/2*sqrt2", "3-2*sqrt2",
+)]
 
 
 def main() -> None:
@@ -31,7 +24,7 @@ def main() -> None:
     for alpha in FAMILY:
         rep = extinction_report(alpha, args.kmax)
         print(
-            f"{str(alpha):>16}  {len(rep.extinctions):8d}  "
+            f"{alpha.text():>16}  {len(rep.extinctions):8d}  "
             f"{len(rep.survivors):8d}  {rep.span}"
         )
 

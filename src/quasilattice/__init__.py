@@ -4,7 +4,6 @@ pure point diffraction."""
 from .quadfield import (
     AlgebraicNumber,
     CoefficientOverflowError,
-    QuadRational,
     SILVER_MEAN,
     SILVER_MEAN_CONJ,
     SQRT2,

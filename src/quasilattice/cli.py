@@ -36,6 +36,7 @@ from .cutproject import (
 from .deform import (
     AffineDeformation,
     DeformationMap,
+    _scalar_float,
     deform_patch,
     deformation_from_json,
     delone_check,
@@ -119,6 +120,8 @@ class RunConfig:
             raise ConfigError("k_max must be positive")
         if self.floor < 0:
             raise ConfigError("intensity floor must be >= 0")
+        if self.count < 1:
+            raise ConfigError("count must be >= 1")
         if self.mode not in ("projection", "substitution"):
             raise ConfigError(f"unknown mode {self.mode!r}")
 
@@ -278,7 +281,7 @@ def cmd_deform(cfg: RunConfig) -> int:
         "deformation": theta.to_json(),
     }
     if isinstance(theta, AffineDeformation):
-        a = float(theta.alpha) if not hasattr(theta.alpha, "value") else theta.alpha.value()
+        a = _scalar_float(theta.alpha)
         if a != -1.0:
             summary["interval_ratio"] = interval_ratio(a)
     _write(out, "deform_summary.json", _json_text(summary))
@@ -438,10 +441,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = vars(parser.parse_args(argv))
-    command = args.pop("command")
-    config_path = args.pop("config", None)
     try:
+        # inside the try: --alpha/--beta are parsed here, and an exact value
+        # beyond 64-bit coefficients is an overflow (exit 3)
+        args = vars(parser.parse_args(argv))
+        command = args.pop("command")
+        config_path = args.pop("config", None)
         cfg = load_config(config_path, args)
         return _COMMANDS[command](cfg)
     except ConfigError as exc:

@@ -43,13 +43,15 @@ _SQRT2 = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class Window:
-    """Finite union of closed intervals with exact endpoints."""
+    """Finite union of closed intervals with quarter-integer endpoints."""
 
     intervals: tuple[Interval, ...]
 
     def __post_init__(self) -> None:
         prev_hi: AlgebraicNumber | None = None
         for lo, hi in self.intervals:
+            # lattice data: quarter() raises ValueError off the quarter-integers
+            lo.quarter(), hi.quarter()
             if (hi - lo).sign() < 0:
                 raise ValueError("interval with hi < lo")
             if prev_hi is not None and (lo - prev_hi).sign() <= 0:
@@ -161,11 +163,15 @@ def silver_subwindows() -> dict[str, Window]:
 
 @dataclass(frozen=True)
 class IfsMap:
-    """y -> scale*y + offset applied to the set of the source letter."""
+    """y -> scale*y + offset applied to the set of the source letter; scale
+    and offset are quarter-integers."""
 
     source: str
     scale: AlgebraicNumber
     offset: AlgebraicNumber
+
+    def __post_init__(self) -> None:
+        self.scale.quarter(), self.offset.quarter()
 
 
 @dataclass(frozen=True)

@@ -27,20 +27,20 @@ from .cutproject import Window, silver_window
 from .quadfield import (
     AlgebraicNumber,
     CoefficientOverflowError,
-    QuadRational,
     check_columns,
     column_reduced,
     column_values,
+    parse_exact,
 )
 from .substitution import LabeledPatch, _csv
 
 Position = Union[AlgebraicNumber, float]
-ExactScalar = Union[int, Fraction, AlgebraicNumber, QuadRational]
+ExactScalar = Union[int, Fraction, AlgebraicNumber]
 Scalar = Union[float, ExactScalar]
 
 _MERGE_TOL = 1e-12
 _SQRT2 = math.sqrt(2.0)
-# integers below this are exact as float64, so P/(4L) rounds like the Fraction
+# integers below this are exact as float64, so P/(4L) rounds like the exact fraction
 _FLOAT_EXACT = 2**53
 
 # admissible slope range for the affine family; the b gaps close at -1
@@ -49,17 +49,16 @@ AFFINE_ALPHA_MAX = 3.0 + _SQRT2
 
 
 def _is_exact(v: Scalar) -> bool:
-    return isinstance(v, (int, Fraction, AlgebraicNumber, QuadRational))
+    return isinstance(v, (int, Fraction, AlgebraicNumber))
 
 
 def _scalar_float(v: Scalar) -> float:
-    if isinstance(v, (AlgebraicNumber, QuadRational)):
-        return v.value()
+    """The float of a deformation parameter: an exact r + s*sqrt2 embeds as
+    float(r) + float(s)*sqrt2, the rounding every exact-theta output is
+    computed with (positions use the cancellation-safe value())."""
+    if isinstance(v, AlgebraicNumber):
+        return float(Fraction(v.a, v.c)) + float(Fraction(v.b, v.c)) * _SQRT2
     return float(v)
-
-
-def _exact_mul(v: ExactScalar, y: AlgebraicNumber) -> QuadRational:
-    return QuadRational.of(v) * QuadRational.of(y)
 
 
 @dataclass(frozen=True)
@@ -72,6 +71,12 @@ class AffineDeformation:
 
     kind = "affine"
 
+    def __post_init__(self) -> None:
+        for name in ("alpha", "beta"):
+            v = getattr(self, name)
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
+
     def window(self) -> Window:
         return self.domain if self.domain is not None else silver_window()
 
@@ -82,14 +87,8 @@ class AffineDeformation:
         if not self.window().contains(y):
             raise ValueError(f"{y} is outside the deformation domain")
         if self.is_exact():
-            q = _exact_mul(self.alpha, y) + QuadRational.of(self.beta)
-            denom = (q.rat.denominator, q.irr.denominator)
-            if all(d in (1, 2, 4) for d in denom):
-                lcm = 4
-                return AlgebraicNumber(
-                    int(q.rat * lcm), int(q.irr * lcm), lcm
-                )
-            return q.value()
+            q = AlgebraicNumber.of(self.alpha) * y + AlgebraicNumber.of(self.beta)
+            return _scalar_float(q) if 4 % q.c else q
         return _scalar_float(self.alpha) * y.value() + _scalar_float(self.beta)
 
     def evaluate_float(self, y: float) -> float:
@@ -113,9 +112,7 @@ class AffineDeformation:
     def to_json(self) -> dict:
         def enc(v: Scalar):
             if isinstance(v, AlgebraicNumber):
-                return v.to_json()
-            if isinstance(v, QuadRational):
-                return str(v)
+                return v.text()
             if isinstance(v, Fraction):
                 return str(v)
             return v
@@ -138,6 +135,8 @@ class PiecewiseLinearDeformation:
     kind = "piecewise_linear"
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(v) for pt in self.breakpoints for v in pt):
+            raise ValueError("breakpoints must be finite")
         ys = [y for y, _ in self.breakpoints]
         if len(ys) < 2:
             raise ValueError("need at least two breakpoints")
@@ -201,8 +200,6 @@ def deformation_from_json(obj: dict) -> DeformationMap:
             if isinstance(v, dict):
                 return AlgebraicNumber.from_json(v)
             if isinstance(v, str):
-                from .quadfield import parse_exact
-
                 return parse_exact(v)
             return v
 
@@ -220,16 +217,21 @@ class CombPoint:
     weight: complex
 
     def position_float(self) -> float:
-        p = self.position
-        return p.value() if isinstance(p, AlgebraicNumber) else float(p)
+        return float(self.position)
+
+
+def _is_quarter(v: Position) -> bool:
+    """An exact position the int64 comb columns can hold."""
+    return isinstance(v, AlgebraicNumber) and 4 % v.c == 0
 
 
 def _offset_column(values: Sequence[Position]) -> np.ndarray:
     """Offsets as one column kind: quarter-scaled int64 rows (a4, b4) of
-    shape (2, N) when every value is an AlgebraicNumber, float64 otherwise."""
-    if all(isinstance(v, AlgebraicNumber) for v in values):
+    shape (2, N) when every value is a quarter-integer AlgebraicNumber,
+    float64 otherwise."""
+    if all(_is_quarter(v) for v in values):
         return np.array([v.quarter() for v in values], dtype=np.int64).reshape(-1, 2).T
-    return np.array([_scalar_float(v) for v in values], dtype=np.float64)
+    return np.array([float(v) for v in values], dtype=np.float64)
 
 
 def _float_offsets(offset: np.ndarray) -> np.ndarray:
@@ -315,10 +317,10 @@ class DiracComb:
         return sum(self.weight.tolist(), 0j)
 
     def translate(self, t: Position) -> DiracComb:
-        """Shift every point by t: an exact t moves the parents, a float
-        one the offsets (and makes the comb float)."""
-        radius = self.radius + abs(_scalar_float(t))
-        if isinstance(t, AlgebraicNumber):
+        """Shift every point by t: a quarter-integer t moves the parents,
+        any other t the offsets (and makes the comb float)."""
+        radius = self.radius + abs(float(t))
+        if _is_quarter(t):
             ta, tb = t.quarter()
             return DiracComb(self.a4 + ta, self.b4 + tb, self.offset, self.weight, radius)
         offset = _float_offsets(self.offset) + float(t)
@@ -416,25 +418,26 @@ def _exact_affine(
     theta, on integer columns.
 
     With alpha = (R + S*sqrt2)/L and beta = (Rb + Sb*sqrt2)/L over one
-    denominator L, theta(x*) = (P + Q*sqrt2)/(4L) for the int64 columns
-    P = R*a4 - 2S*b4 + 4Rb and Q = S*a4 - R*b4 + 4Sb.  When L divides every
-    P and Q the offsets are the exact rows (P/L, Q/L).  Otherwise the comb
-    is float: a row with an exact shift becomes the parent x + theta(x*)
-    with offset 0, any other keeps x and takes the float shift
-    P/(4L) + (Q/(4L))*sqrt2, so positions round as the Fraction values do.
+    denominator L = lcm(alpha.c, beta.c), theta(x*) = (P + Q*sqrt2)/(4L) for
+    the int64 columns P = R*a4 - 2S*b4 + 4Rb and Q = S*a4 - R*b4 + 4Sb.
+    When L divides every P and Q the offsets are the exact rows (P/L, Q/L).
+    Otherwise the comb is float: a row with an exact shift becomes the
+    parent x + theta(x*) with offset 0, any other keeps x and takes the
+    float shift P/(4L) + (Q/(4L))*sqrt2, so positions round as the
+    parameter embedding of the exact shift does.
     Operands of 2**53 or more raise CoefficientOverflowError first.
     """
-    alpha, beta = QuadRational.of(theta.alpha), QuadRational.of(theta.beta)
-    d = lcm(*(f.denominator for f in (alpha.rat, alpha.irr, beta.rat, beta.irr)))
-    r, s = int(alpha.rat * d), int(alpha.irr * d)
-    rb, sb = int(beta.rat * d), int(beta.irr * d)
+    alpha, beta = AlgebraicNumber.of(theta.alpha), AlgebraicNumber.of(theta.beta)
+    d = lcm(alpha.c, beta.c)
+    r, s = alpha.a * (d // alpha.c), alpha.b * (d // alpha.c)
+    rb, sb = beta.a * (d // beta.c), beta.b * (d // beta.c)
     amax = int(np.abs(a4).max(initial=0))
     bmax = int(np.abs(b4).max(initial=0))
     p_bound = abs(r) * amax + 2 * abs(s) * bmax + 4 * abs(rb)
     q_bound = abs(s) * amax + abs(r) * bmax + 4 * abs(sb)
     if max(4 * d, p_bound, q_bound) >= _FLOAT_EXACT:
         raise CoefficientOverflowError(
-            f"alpha = {alpha}, beta = {beta} need shift operands beyond 2**53"
+            f"alpha = {alpha.text()}, beta = {beta.text()} need shift operands beyond 2**53"
         )
     p = r * a4 - 2 * s * b4 + 4 * rb
     q = s * a4 - r * b4 + 4 * sb

@@ -1,17 +1,16 @@
 """Exact arithmetic in the quadratic field Q(sqrt2).
 
-Two number types live here.  ``AlgebraicNumber`` is the workhorse for
-lattice data: quarter-integers (a + b*sqrt2)/c with c in {1, 2, 4} and
-64-bit checked integer coefficients.  Every point of the physical chain,
-every window endpoint and every dual-module wave number is one of these,
-so set membership and ordering decisions never touch floating point.
-Point sets store the same numbers as int64 columns of quarter-scaled
+``AlgebraicNumber`` is the one exact number type: (a + b*sqrt2)/c with any
+positive denominator c, stored reduced by gcd(a, b, c), with 64-bit
+checked integer coefficients.  Lattice data lives in the quarter-integers
+(c dividing 4): every point of the physical chain, every window endpoint
+and every dual-module wave number is one of these, so set membership and
+ordering decisions never touch floating point.  Exact deformation
+parameters (parsed slopes, shifts) may have any denominator.
+Point sets store quarter-integers as int64 columns of quarter-scaled
 coefficients (a4 + b4*sqrt2)/4; the ``column_*`` functions are the
 elementwise forms of the scalar sign test, embedding and radius check, and
 ``dual_columns`` enumerates the dual module in the same form.
-``QuadRational`` is a Fraction-coefficient element of Q(sqrt2) used where
-arbitrary rational coefficients occur (parsed slopes, exact deformation
-shifts).
 """
 
 from __future__ import annotations
@@ -21,12 +20,12 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
+from math import gcd, lcm
 
 import numpy as np
 
 _SQRT2_FLOAT = math.sqrt(2.0)
 _INT64_MAX = 2**63 - 1
-_ALLOWED_DENOMS = (1, 2, 4)
 # bound on |p| and |q| in an int64 sign test of p + q*sqrt2: below it,
 # p*p - 2*q*q cannot overflow
 COLUMN_LIMIT = 2**31
@@ -62,7 +61,7 @@ def _sign_pair(p: int, q: int) -> int:
 @total_ordering
 @dataclass(frozen=True, eq=False)
 class AlgebraicNumber:
-    """(a + b*sqrt2)/c with c in {1, 2, 4}, stored in reduced form."""
+    """(a + b*sqrt2)/c with c > 0, stored reduced: gcd(a, b, c) = 1."""
 
     a: int
     b: int
@@ -70,27 +69,31 @@ class AlgebraicNumber:
 
     def __post_init__(self) -> None:
         a, b, c = self.a, self.b, self.c
-        if not all(isinstance(v, int) for v in (a, b, c)):
+        if not (isinstance(a, int) and isinstance(b, int) and isinstance(c, int)):
             raise TypeError("coefficients must be int")
         if c <= 0:
             raise ValueError("denominator must be positive")
-        while c % 2 == 0 and a % 2 == 0 and b % 2 == 0:
-            a //= 2
-            b //= 2
-            c //= 2
-        if c not in _ALLOWED_DENOMS:
-            raise ValueError(f"denominator {self.c} does not reduce into {{1,2,4}}")
+        g = gcd(a, b, c)
+        if g > 1:
+            a, b, c = a // g, b // g, c // g
+            object.__setattr__(self, "a", a)
+            object.__setattr__(self, "b", b)
+            object.__setattr__(self, "c", c)
         _check64(a)
         _check64(b)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+        _check64(c)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_int(cls, v: int) -> AlgebraicNumber:
-        return cls(v, 0, 1)
+    def of(cls, v: AlgebraicNumber | Fraction | int) -> AlgebraicNumber:
+        """An exact scalar (int, Fraction or AlgebraicNumber) as an AlgebraicNumber."""
+        if isinstance(v, AlgebraicNumber):
+            return v
+        if isinstance(v, (int, Fraction)):
+            f = Fraction(v)
+            return cls(f.numerator, 0, f.denominator)
+        raise TypeError(f"cannot interpret {v!r} as an element of Q(sqrt2)")
 
     @classmethod
     def from_pair(cls, m: int, n: int) -> AlgebraicNumber:
@@ -122,7 +125,7 @@ class AlgebraicNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        c = max(self.c, o.c)
+        c = lcm(self.c, o.c)
         f, g = c // self.c, c // o.c
         return AlgebraicNumber(self.a * f + o.a * g, self.b * f + o.b * g, c)
 
@@ -205,16 +208,26 @@ class AlgebraicNumber:
         return (self.a, self.b) if self.c == 1 else None
 
     def quarter(self) -> tuple[int, int]:
-        """(a4, b4) with self = (a4 + b4*sqrt2)/4."""
-        f = 4 // self.c
+        """(a4, b4) with self = (a4 + b4*sqrt2)/4; ValueError off the
+        quarter-integers."""
+        f, r = divmod(4, self.c)
+        if r:
+            raise ValueError(f"{self} is not a quarter-integer")
         return self.a * f, self.b * f
 
     def dual_coords(self) -> tuple[int, int] | None:
         """(m, n) with self = (2m + n*sqrt2)/4, or None if not in the dual module."""
+        if 4 % self.c:
+            return None
         a4, b4 = self.quarter()
         if a4 % 2:
             return None
         return (a4 // 2, b4)
+
+    def text(self) -> str:
+        """'r+s*sqrt2' with reduced fractions r, s: the form parse_exact reads."""
+        r, s = Fraction(self.a, self.c), Fraction(self.b, self.c)
+        return f"{r}{'+' if s >= 0 else ''}{s}*sqrt2"
 
     def __str__(self) -> str:
         return f"({self.a}{self.b:+}*sqrt2)/{self.c}"
@@ -354,56 +367,8 @@ def enumerate_dual(
     return [AlgebraicNumber(a, b, 4) for a, b in zip(a4.tolist(), b4.tolist())]
 
 
-@dataclass(frozen=True)
-class QuadRational:
-    """rat + irr*sqrt2 with Fraction coefficients; the full field Q(sqrt2)."""
-
-    rat: Fraction
-    irr: Fraction
-
-    @classmethod
-    def of(cls, v: QuadRational | AlgebraicNumber | Fraction | int) -> QuadRational:
-        if isinstance(v, QuadRational):
-            return v
-        if isinstance(v, AlgebraicNumber):
-            return cls(Fraction(v.a, v.c), Fraction(v.b, v.c))
-        if isinstance(v, (int, Fraction)):
-            return cls(Fraction(v), Fraction(0))
-        raise TypeError(f"cannot interpret {v!r} as an element of Q(sqrt2)")
-
-    def __add__(self, other: QuadRational) -> QuadRational:
-        return QuadRational(self.rat + other.rat, self.irr + other.irr)
-
-    def __sub__(self, other: QuadRational) -> QuadRational:
-        return QuadRational(self.rat - other.rat, self.irr - other.irr)
-
-    def __neg__(self) -> QuadRational:
-        return QuadRational(-self.rat, -self.irr)
-
-    def __mul__(self, other: QuadRational) -> QuadRational:
-        return QuadRational(
-            self.rat * other.rat + 2 * self.irr * other.irr,
-            self.rat * other.irr + self.irr * other.rat,
-        )
-
-    def star(self) -> QuadRational:
-        return QuadRational(self.rat, -self.irr)
-
-    def is_zero(self) -> bool:
-        return self.rat == 0 and self.irr == 0
-
-    def is_integer(self) -> bool:
-        return self.irr == 0 and self.rat.denominator == 1
-
-    def value(self) -> float:
-        return float(self.rat) + float(self.irr) * _SQRT2_FLOAT
-
-    def __str__(self) -> str:
-        return f"{self.rat}{'+' if self.irr >= 0 else ''}{self.irr}*sqrt2"
-
-
-def parse_exact(text: str) -> QuadRational:
-    """Parse 'p', 'p/q', '3-2*sqrt2', '1+1/3*sqrt2', ... into a QuadRational.
+def parse_exact(text: str) -> AlgebraicNumber:
+    """Parse 'p', 'p/q', '3-2*sqrt2', '1+1/3*sqrt2', ... into an AlgebraicNumber.
 
     Only exact rational coefficients are accepted; decimal notation is
     rejected on purpose.
@@ -414,7 +379,7 @@ def parse_exact(text: str) -> QuadRational:
         raise ValueError(f"could not parse {text!r}")
     rat, irr = Fraction(0), Fraction(0)
     for tok in tokens:
-        m = re.fullmatch(r"([+-]?)(?:(\d+(?:/\d+)?)\*?)?(sqrt2)?", tok)
+        m = re.fullmatch(r"([+-]?)(?:(\d+(?:/0*[1-9]\d*)?)\*?)?(sqrt2)?", tok)
         if m is None or (m.group(2) is None and m.group(3) is None):
             raise ValueError(f"could not parse {text!r}")
         coef = Fraction(m.group(2)) if m.group(2) else Fraction(1)
@@ -424,4 +389,4 @@ def parse_exact(text: str) -> QuadRational:
             irr += coef
         else:
             rat += coef
-    return QuadRational(rat, irr)
+    return AlgebraicNumber.of(rat) + AlgebraicNumber.of(irr) * SQRT2

@@ -63,6 +63,7 @@ class SubstitutionRule:
             if not img or any(ch not in letters for ch in img):
                 raise ValueError("images must be nonempty words over the alphabet")
         for ln in self.lengths.values():
+            ln.quarter()  # lengths are quarter-integers, like every patch point
             if ln.sign() <= 0:
                 raise ValueError("interval lengths must be positive")
 

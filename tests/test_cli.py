@@ -239,6 +239,110 @@ class TestConfigHandling:
         assert run("diffract", f"{flag}={value}", "--out", str(tmp_path)) == 2
         assert f"{field} must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            (["deform", "--alpha", "0.5", "--beta=nan"], "beta"),
+            (["diffract", "--alpha", "0.5", "--beta=inf", "--kmax", "1", "--floor", "1e-3"], "beta"),
+            (["diffract", "--alpha=-inf", "--allow-overlap", "--kmax", "1", "--floor", "1e-3"], "alpha"),
+            (["deform", "--alpha=inf", "--allow-overlap"], "alpha"),
+            (["compare", "--alpha=nan", "--allow-overlap", "--count", "3"], "alpha"),
+        ],
+    )
+    def test_non_finite_deformation_parameter_exits_2(self, tmp_path, capsys, args, name):
+        # a NaN beta used to merge every point into one at nan with weight 21
+        out = tmp_path / "o"
+        assert run(*args, "--radius", "20", "--out", str(out)) == 2
+        assert f"{name} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_pwl_breakpoint_exits_2(self, tmp_path, capsys, bad):
+        cfgfile = tmp_path / "run.json"
+        points = [[-0.8, 0.0], [0.0, float(bad)], [0.8, 0.1]]
+        cfgfile.write_text(json.dumps({"deformation": {"kind": "pwl", "points": points}}))
+        out = tmp_path / "o"
+        args = ["--radius", "20", "--allow-overlap", "--config", str(cfgfile), "--out", str(out)]
+        assert run("deform", *args) == 2
+        assert "breakpoints must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("count", ["-5", "0"])
+    def test_count_below_one_exits_2(self, tmp_path, capsys, count):
+        out = tmp_path / "o"
+        args = ["--radius", "100", "--alpha", "0.5", "--count", count, "--out", str(out)]
+        assert run("compare", *args) == 2
+        assert "count must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["two", "1/0", "1+1/0*sqrt2"])
+    def test_unparsable_alpha_exits_2(self, tmp_path, capsys, text):
+        assert run("deform", "--alpha", text, "--out", str(tmp_path / "o")) == 2
+        assert f"could not parse '{text}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--alpha", "99999999999999999999/3"],
+            ["--alpha", "99999999999999999999/3", "--allow-overlap"],
+            ["--alpha", "1/2", "--beta", "1+99999999999999999999*sqrt2"],
+        ],
+    )
+    def test_exact_parameter_beyond_64_bits_exits_3(self, tmp_path, capsys, args):
+        out = tmp_path / "o"
+        assert run("deform", *args, "--out", str(out)) == 3
+        assert "exceeds 64-bit range" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, scheme",
+        [
+            (["generate", "--radius", "50"],
+             {"window": [{"lo": {"a": -1, "b": 0, "c": 3}, "hi": {"a": 1, "b": 0, "c": 2}}]}),
+            (["windows"],
+             {"ifs": {"a": [{"source": "a", "scale": {"a": 1, "b": 0, "c": 3},
+                             "offset": {"a": 0, "b": 0, "c": 1}}]}}),
+            # scale 1/2 is a quarter-integer, but its iterates reach 15/8
+            (["windows"],
+             {"ifs": {"a": [{"source": "a", "scale": {"a": 1, "b": 0, "c": 2},
+                             "offset": {"a": 1, "b": 0, "c": 1}}]}}),
+            (["generate", "--radius", "50", "--mode", "substitution"],
+             {"images": {"a": "aba", "b": "a"},
+              "lengths": {"a": {"a": 1, "b": 1, "c": 3}, "b": {"a": 1, "b": 0, "c": 1}}}),
+        ],
+        ids=["window-endpoint-third", "ifs-scale-third", "ifs-scale-half", "rule-length-third"],
+    )
+    def test_lattice_data_off_the_quarter_integers_exits_2_at_once(
+        self, tmp_path, capsys, command, scheme
+    ):
+        cfgfile = tmp_path / "scheme.json"
+        cfgfile.write_text(json.dumps({"scheme": scheme}))
+        start = time.perf_counter()
+        assert run(*command, "--config", str(cfgfile), "--out", str(tmp_path / "o")) == 2
+        assert time.perf_counter() - start < 5.0
+        assert "is not a quarter-integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "obj, text",
+        [({"a": 3, "b": -2, "c": 1}, "3-2*sqrt2"), ({"a": 1, "b": 0, "c": 3}, "1/3")],
+    )
+    def test_json_object_alpha_matches_its_text(self, tmp_path, obj, text):
+        cfgfile = tmp_path / "run.json"
+        beta = {"a": 1, "b": 0, "c": 4}
+        cfgfile.write_text(json.dumps(
+            {"deformation": {"kind": "affine", "alpha": obj, "beta": beta}}
+        ))
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run("deform", "--radius", "200", "--config", str(cfgfile), "--out", str(a)) == 0
+        cfgfile.write_text(json.dumps(
+            {"deformation": {"kind": "affine", "alpha": text, "beta": "1/4"}}
+        ))
+        assert run("deform", "--radius", "200", "--config", str(cfgfile), "--out", str(b)) == 0
+        for name in ("deformed.csv", "deform_summary.json"):
+            assert read(a / name) == read(b / name)
+        doc = json.loads(read(a / "deform_summary.json"))
+        assert doc["deformation"]["beta"] == "1/4+0*sqrt2"
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfgfile = tmp_path / "run.json"
         cfgfile.write_text(json.dumps({"radius": 50.0, "out": str(tmp_path / "a")}))

@@ -19,9 +19,11 @@ from quasilattice.deform import (
     AffineDeformation,
     CombPoint,
     DiracComb,
+    FixedKernel,
     PiecewiseLinearDeformation,
     _merged,
     _offset_column,
+    deform_measure,
     deform_patch,
 )
 from quasilattice.diffraction import (
@@ -380,8 +382,18 @@ def test_weyl_sums_refuse_wave_numbers_off_the_dual_module(combs):
 def test_weyl_sum_off_module_takes_the_external_phase(combs):
     comb = combs["float"]
     points = [(p.position, p.weight) for p in comb.points]
-    for k in (1.0 / 3.0, math.pi / 10.0, A(1, 0, 4)):
+    for k in (1.0 / 3.0, math.pi / 10.0, A(1, 0, 4), A(1, 0, 3)):
         assert abs(weyl_sum(comb, k) - _ref_weyl_sum(points, comb.radius, k)) <= 1e-12
+
+
+def test_exact_shift_off_the_quarter_integers_gives_a_float_comb():
+    comb = DiracComb.from_patch(project_patch(10.0))
+    third = A(1, 0, 3)
+    want = (comb.positions_float() + third.value()).tolist()
+    for moved in (comb.translate(third), deform_measure(comb, FixedKernel(((third, 1.0 + 0j),)))):
+        assert not moved.is_exact
+        assert moved.positions_float().tolist() == want
+    assert comb.translate(A(1, 0, 4)).is_exact
 
 
 def test_empty_comb_sums_to_zero():

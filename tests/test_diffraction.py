@@ -67,6 +67,8 @@ class TestAmplitudeClosed:
     def test_rejects_non_dual(self):
         with pytest.raises(ValueError):
             amplitude_closed(A(1, 0, 4), 0, 0)
+        with pytest.raises(ValueError):
+            amplitude_closed(A(1, 0, 3), 0, 0)  # off the quarter-integers
 
     def test_exact_fraction_alpha(self):
         # alpha = 1/2 puts exact zeros where (k/2 - k*) sqrt2 is integral

@@ -1,15 +1,17 @@
 import math
 from fractions import Fraction
+from math import gcd
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
 from quasilattice.quadfield import (
     AlgebraicNumber,
     CoefficientOverflowError,
-    QuadRational,
     SILVER_MEAN,
     SILVER_MEAN_CONJ,
+    SQRT2,
     dual_pairing,
     enumerate_dual,
     exact_compare,
@@ -57,9 +59,11 @@ def test_star_multiplicative(x, y):
     assert star(x * y) == star(x) * star(y)
 
 
-def test_product_leaving_quarter_integers_rejected():
+def test_product_leaving_quarter_integers_representable():
+    x = A(1, 0, 4) * A(1, 0, 4)
+    assert (x.a, x.b, x.c) == (1, 0, 16)
     with pytest.raises(ValueError):
-        A(1, 0, 4) * A(1, 0, 4)  # 1/16 is not representable
+        x.quarter()
 
 
 def test_compare_one_vs_half_sqrt2():
@@ -98,12 +102,13 @@ def test_canonical_reduction():
     assert (x.a, x.b, x.c) == (3, 1, 2)
 
 
-def test_denominator_must_reduce():
-    with pytest.raises(ValueError):
-        A(1, 1, 3)
-    with pytest.raises(ValueError):
-        A(1, 0, 8)  # odd/odd over 8 cannot reduce...
+def test_any_denominator_reduces_by_gcd():
+    assert (A(1, 1, 3).a, A(1, 1, 3).b, A(1, 1, 3).c) == (1, 1, 3)
+    assert (A(1, 0, 8).a, A(1, 0, 8).c) == (1, 8)
     assert A(2, 2, 8) == A(1, 1, 4)
+    x = A(6, -9, 15)
+    assert (x.a, x.b, x.c) == (2, -3, 5)
+    assert A(0, 0, 7) == A(0, 0, 1)
 
 
 def test_negative_denominator_rejected():
@@ -117,6 +122,12 @@ def test_overflow_checked():
         A(2**63 + 1, 0, 1)
     with pytest.raises(CoefficientOverflowError):
         A(big, 0, 1) * 4
+    with pytest.raises(CoefficientOverflowError):
+        A(1, 0, 2**63 + 1)
+    with pytest.raises(CoefficientOverflowError):
+        A(1, 0, 2**32 + 1) * A(1, 0, 2**32 - 1)
+    with pytest.raises(CoefficientOverflowError):
+        parse_exact("99999999999999999999/3")
 
 
 def test_value_embedding_small():
@@ -146,6 +157,15 @@ def test_dual_coords():
     assert A(1, 0, 2).dual_coords() == (1, 0)
     assert A(0, 1, 4).dual_coords() == (0, 1)
     assert A(1, 0, 4).dual_coords() is None
+
+
+@pytest.mark.parametrize("x", [A(1, 0, 3), A(0, 1, 8), A(2, 1, 6), A(1, 1, 12)])
+def test_quarter_and_dual_coords_off_the_quarter_integers(x):
+    with pytest.raises(ValueError, match="not a quarter-integer"):
+        x.quarter()
+    assert x.dual_coords() is None
+    assert A(3, -2, 4).quarter() == (3, -2)
+    assert A(1, 1, 2).quarter() == (2, 2)
 
 
 def test_enumerate_dual_small():
@@ -199,14 +219,16 @@ def test_duality_pairing_integer(m, n, p, q):
 
 
 def test_quadrational_arithmetic():
-    a = QuadRational(Fraction(1), Fraction(1, 3))
-    b = QuadRational.of(SILVER_MEAN)
+    a = A.of(1) + A.of(Fraction(1, 3)) * SQRT2  # 1 + sqrt2/3
+    b = A.of(SILVER_MEAN)
     prod = a * b
-    assert prod.rat == Fraction(1) + Fraction(2, 3)
-    assert prod.irr == Fraction(1) + Fraction(1, 3)
-    assert b.star() == QuadRational.of(SILVER_MEAN_CONJ)
-    assert QuadRational.of(3).is_integer()
+    assert _ref(prod) == (Fraction(1) + Fraction(2, 3), Fraction(1) + Fraction(1, 3))
+    assert b.star() == A.of(SILVER_MEAN_CONJ)
+    assert A.of(3).is_integer()
+    assert A.of(Fraction(6, 2)).is_integer()
     assert not a.is_integer()
+    with pytest.raises(TypeError):
+        A.of(0.5)
 
 
 @pytest.mark.parametrize(
@@ -221,10 +243,77 @@ def test_quadrational_arithmetic():
     ],
 )
 def test_parse_exact(text, rat, irr):
-    assert parse_exact(text) == QuadRational(Fraction(rat), Fraction(irr))
+    assert _ref(parse_exact(text)) == (Fraction(rat), Fraction(irr))
 
 
-@pytest.mark.parametrize("bad", ["0.5", "two", "1**sqrt2", ""])
+@pytest.mark.parametrize("bad", ["0.5", "two", "1**sqrt2", "", "1/0", "1+2/00*sqrt2"])
 def test_parse_exact_rejects(bad):
     with pytest.raises(ValueError):
         parse_exact(bad)
+
+
+# -- general denominators against a Fraction-pair reference ----------------------
+
+def _ref(x):
+    """x = r + s*sqrt2 as the Fraction pair (r, s)."""
+    return Fraction(x.a, x.c), Fraction(x.b, x.c)
+
+
+def _ref_add(x, y):
+    return x[0] + y[0], x[1] + y[1]
+
+
+def _ref_mul(x, y):
+    return x[0] * y[0] + 2 * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _ref_sign(x):
+    """Exact sign of r + s*sqrt2: compare r^2 with 2 s^2 when the signs differ."""
+    r, s = x
+    if r >= 0 and s >= 0 or r <= 0 and s <= 0:
+        return (r + s > 0) - (r + s < 0)
+    return (1 if r > 0 else -1) * (1 if r * r > 2 * s * s else -1)
+
+
+def _ref_value(x):
+    with mpmath.workdps(50):
+        return float(mpmath.mpf(x[0].numerator) / x[0].denominator
+                     + mpmath.mpf(x[1].numerator) / x[1].denominator * mpmath.sqrt(2))
+
+
+general = st.builds(
+    A, st.integers(-(10**6), 10**6), st.integers(-(10**6), 10**6), st.integers(1, 720)
+)
+
+
+@given(general)
+def test_general_denominator_reduction(x):
+    assert x.c > 0 and gcd(x.a, x.b, x.c) == 1
+    r, s = _ref(x)
+    assert x.c == math.lcm(r.denominator, s.denominator)
+
+
+@given(general, general)
+def test_general_denominator_matches_fraction_pairs(x, y):
+    rx, ry = _ref(x), _ref(y)
+    assert _ref(x + y) == _ref_add(rx, ry)
+    assert _ref(x - y) == _ref_add(rx, (-ry[0], -ry[1]))
+    assert _ref(x * y) == _ref_mul(rx, ry)
+    assert _ref(x.star()) == (rx[0], -rx[1])
+    diff_sign = _ref_sign(_ref_add(rx, (-ry[0], -ry[1])))
+    assert (x < y) == (diff_sign < 0)
+    assert (x == y) == (diff_sign == 0)
+    assert exact_compare(x, y) == diff_sign
+    assert x.value() == pytest.approx(_ref_value(rx), rel=1e-15, abs=0.0)
+
+
+@given(general)
+def test_text_is_the_inverse_of_parse_exact(x):
+    assert parse_exact(x.text()) == x
+
+
+def test_text_form():
+    assert A(1, 0, 3).text() == "1/3+0*sqrt2"
+    assert A(3, -2, 1).text() == "3-2*sqrt2"
+    assert A(2, 1, 2).text() == "1+1/2*sqrt2"
+    assert A(-7, -2, 35).text() == "-1/5-2/35*sqrt2"

@@ -1,9 +1,10 @@
 """The dual-module enumeration and the closed-form amplitude on int64 columns,
-against the scalar AlgebraicNumber / QuadRational computations they replace.
+against the scalar computations they replace.
 
-The references below are the one-object-per-candidate double loop and the
-Fraction-coefficient z/pi; the column code must reproduce their sets, order,
-zero and extinction decisions and amplitudes bit for bit.
+The references below are the one-object-per-candidate double loop and z/pi
+in Fraction-pair arithmetic (r + s*sqrt2 as two Fractions, independent of
+AlgebraicNumber); the column code must reproduce their sets, order, zero and
+extinction decisions and amplitudes bit for bit.
 """
 
 import cmath
@@ -26,9 +27,9 @@ from quasilattice.diffraction import (
 from quasilattice.quadfield import (
     AlgebraicNumber,
     CoefficientOverflowError,
-    QuadRational,
     dual_columns,
     enumerate_dual,
+    parse_exact,
 )
 
 A = AlgebraicNumber
@@ -54,25 +55,38 @@ def _scalar_enumerate_dual(k_max, kstar_max=None):
     return out
 
 
+def _pair(v):
+    """An exact scalar as the Fraction pair (r, s) of r + s*sqrt2."""
+    if isinstance(v, A):
+        return Fraction(v.a, v.c), Fraction(v.b, v.c)
+    return Fraction(v), Fraction(0)
+
+
+def _pair_float(p):
+    return float(p[0]) + float(p[1]) * _SQRT2
+
+
 def _reference_z_over_pi(k, alpha):
-    """(alpha*k - star(k)) * sqrt2 in Fraction coefficients."""
-    kq = QuadRational.of(k)
-    return (QuadRational.of(alpha) * kq - kq.star()) * QuadRational.of(A(0, 1, 1))
+    """(alpha*k - star(k)) * sqrt2 as a Fraction pair."""
+    (r, s), (kr, ks) = _pair(alpha), _pair(k)
+    # alpha*k - star(k) = u + v*sqrt2; times sqrt2 it is 2v + u*sqrt2
+    u, v = r * kr + 2 * s * ks - kr, r * ks + s * kr + ks
+    return 2 * v, u
 
 
 def _reference_amplitude(k, alpha, beta):
-    """The scalar closed form: exact alpha through QuadRational, float alpha
+    """The scalar closed form: exact alpha through Fraction pairs, float alpha
     through the float embeddings of k and star(k)."""
     kv = k.value()
-    b = beta.value() if isinstance(beta, (A, QuadRational)) else float(beta)
+    b = _pair_float(_pair(beta)) if isinstance(beta, A) else float(beta)
     phase = cmath.exp(-2j * math.pi * b * kv)
-    if isinstance(alpha, (int, Fraction, A, QuadRational)):
+    if isinstance(alpha, (int, Fraction, A)):
         w = _reference_z_over_pi(k, alpha)
-        if w.is_zero():
+        if w == (0, 0):
             return 0.5 * phase
-        if w.is_integer():
+        if w[1] == 0 and w[0].denominator == 1:
             return 0.0 * phase
-        z = math.pi * w.value()
+        z = math.pi * _pair_float(w)
     else:
         z = math.pi * (float(alpha) * kv - k.star().value()) * _SQRT2
         if z == 0.0:
@@ -136,13 +150,13 @@ _COLS = dual_columns(2.0, 6.0)
 _KS = [A(a, b, 4) for a, b in zip(_COLS[0].tolist(), _COLS[1].tolist())]
 
 exact_alpha = st.builds(
-    lambda r, s, d: QuadRational(Fraction(r, d), Fraction(s, d)),
+    A,
     st.integers(-24, 24),
     st.integers(-24, 24),
     st.integers(1, 12),
 )
 exact_beta = st.builds(
-    lambda r, s, d: QuadRational(Fraction(r, d), Fraction(s, d)),
+    A,
     st.integers(-6, 6),
     st.integers(-6, 6),
     st.integers(1, 12),
@@ -153,8 +167,8 @@ beta = st.one_of(st.just(0), st.floats(-1.0, 1.0), exact_beta)
 
 def _masks(alpha):
     ws = [_reference_z_over_pi(k, alpha) for k in _KS]
-    zero = [w.is_zero() for w in ws]
-    extinct = [not w.is_zero() and w.is_integer() for w in ws]
+    zero = [w == (0, 0) for w in ws]
+    extinct = [w != (0, 0) and w[1] == 0 and w[0].denominator == 1 for w in ws]
     return zero, extinct
 
 
@@ -175,7 +189,7 @@ def test_closed_form_float_alpha_bit_equal(alpha, b):
 @pytest.mark.parametrize(
     "alpha",
     [0, 1, -1, Fraction(1, 2), Fraction(1, 3), A(3, -2, 1), A(1, 1, 1), A(1, 0, 4),
-     QuadRational(Fraction(1, 3), Fraction(1, 5)), QuadRational(Fraction(7, 12), Fraction(-5, 6))],
+     A(5, 3, 15), A(7, -10, 12)],  # 1/3 + sqrt2/5, 7/12 - 5/6*sqrt2
 )
 def test_extinction_report_matches_reference_mask(alpha):
     rep = extinction_report(alpha, 2.0, 6.0)
@@ -187,11 +201,12 @@ def test_extinction_report_matches_reference_mask(alpha):
 
 
 def test_alpha_types_agree():
-    """int, Fraction, AlgebraicNumber and QuadRational forms of one alpha."""
+    """int, Fraction, AlgebraicNumber and parsed forms of one alpha."""
     forms = [
-        (1, Fraction(1), A(1, 0, 1), QuadRational(Fraction(1), Fraction(0))),
-        (A(3, -2, 1), QuadRational(Fraction(3), Fraction(-2))),
-        (Fraction(3, 4), A(3, 0, 4), QuadRational(Fraction(3, 4), Fraction(0))),
+        (1, Fraction(1), A(1, 0, 1), parse_exact("1")),
+        (A(3, -2, 1), parse_exact("3-2*sqrt2")),
+        (Fraction(3, 4), A(3, 0, 4), parse_exact("3/4")),
+        (Fraction(1, 3), A(1, 0, 3), parse_exact("1/3")),
     ]
     for group in forms:
         runs = [_bits(closed_form_amplitudes(*_COLS, alpha, 0.25)) for alpha in group]
@@ -203,7 +218,7 @@ def test_closed_form_refuses_operands_beyond_2_53():
     with pytest.raises(CoefficientOverflowError):
         closed_form_amplitudes(*_COLS, alpha, 0)
     with pytest.raises(CoefficientOverflowError):
-        amplitude_closed(A(0, 0, 1), QuadRational(Fraction(2**60), Fraction(0)), 0)
+        amplitude_closed(A(0, 0, 1), A(2**60, 0, 1), 0)
     # just below the bound the Fraction reference still agrees bit for bit
     alpha = Fraction(1, 2**49 - 1)
     k = A(2, 1, 4)
@@ -231,7 +246,7 @@ def test_negated_wave_number_conjugates(alpha, b):
 def test_exact_beta_changes_only_the_phase(alpha, b):
     plain = closed_form_amplitudes(*_COLS, alpha, 0)
     shifted = closed_form_amplitudes(*_COLS, alpha, b)
-    bv = b.value()
+    bv = _pair_float(_pair(b))
     for k, p, s in zip(_KS, plain, shifted):
         assert (p == 0) == (s == 0)
         assert abs(abs(s) - abs(p)) <= 1e-15
@@ -239,7 +254,7 @@ def test_exact_beta_changes_only_the_phase(alpha, b):
 
 
 def test_scan_support_is_the_floor_filter_of_the_columns():
-    theta = AffineDeformation(A(3, -2, 1), QuadRational(Fraction(1, 4), Fraction(0)))
+    theta = AffineDeformation(A(3, -2, 1), A(1, 0, 4))
     spec = spectrum_scan(theta, 2.0, 1e-4)
     ks = _scalar_enumerate_dual(2.0, scan_internal_bound(theta, 2.0, 1e-4))
     want = [(k, _reference_amplitude(k, theta.alpha, theta.beta)) for k in ks]
