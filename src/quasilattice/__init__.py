@@ -64,6 +64,7 @@ from .diffraction import (
     autocorrelation_finite,
     compare_empirical_analytic,
     compensated_sum,
+    dual_quarters,
     empirical_spectrum,
     extinction_report,
     leading_dual_elements,

@@ -42,10 +42,12 @@ from .deform import (
     delone_check,
     density,
     interval_ratio,
+    scalar_from_json,
 )
 from .diffraction import (
     ComparisonTable,
     compare_empirical_analytic,
+    dual_quarters,
     empirical_spectrum,
     extinction_report,
     leading_dual_elements,
@@ -55,7 +57,6 @@ from .plotting import render_stem_svg
 from .quadfield import (
     AlgebraicNumber,
     CoefficientOverflowError,
-    parse_exact,
 )
 from .substitution import (
     LabeledPatch,
@@ -75,22 +76,12 @@ class ConfigError(Exception):
 
 
 def _parse_scalar(text: str):
-    """Integers stay exact, decimals become floats, anything else must be
-    an exact Q(sqrt2) expression like '3-2*sqrt2' or '1/2'."""
-    if re.fullmatch(r"[+-]?\d+", text):
-        return int(text)
+    """--alpha and --beta, read by ``scalar_from_json``; a ConfigError, which
+    argparse passes on to ``main``, for text it cannot read."""
     try:
-        return float(text)
-    except ValueError:
-        pass
-    try:
-        return parse_exact(text)
+        return scalar_from_json(text)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _coerce_scalar(v):
-    return _parse_scalar(v) if isinstance(v, str) else v
 
 
 @dataclass
@@ -128,7 +119,7 @@ class RunConfig:
     def theta(self) -> DeformationMap:
         if self.deformation is not None:
             return deformation_from_json(self.deformation)
-        return AffineDeformation(_coerce_scalar(self.alpha), _coerce_scalar(self.beta))
+        return AffineDeformation(scalar_from_json(self.alpha), scalar_from_json(self.beta))
 
     def window_pair(self) -> tuple[Window, dict[str, Window]]:
         if self.scheme and "window" in self.scheme:
@@ -297,7 +288,7 @@ def cmd_diffract(cfg: RunConfig) -> int:
     _write(out, "spectrum_analytic.csv", spec.to_csv())
     patch = _build_patch(cfg)
     comb = deform_patch(patch, theta)
-    emp = empirical_spectrum(comb, spec.support())
+    emp = empirical_spectrum(comb, spec.a4, spec.b4)
     _write(out, "spectrum_empirical.csv", emp.to_csv())
     table = ComparisonTable.from_spectra(emp, spec)
     _write(out, "comparison.csv", table.to_csv())
@@ -312,7 +303,7 @@ def cmd_diffract(cfg: RunConfig) -> int:
     }
     _write(out, "diffract_summary.json", _json_text(summary))
     if cfg.svg:
-        stems = [(e.k.value(), e.intensity) for e in spec.entries]
+        stems = list(zip(spec.k_values().tolist(), spec.intensity.tolist()))
         Path(cfg.svg).parent.mkdir(parents=True, exist_ok=True)
         Path(cfg.svg).write_text(
             render_stem_svg(stems, cfg.k_max, title="analytic diffraction intensities")
@@ -364,7 +355,7 @@ def cmd_sigma(cfg: RunConfig) -> int:
 
 
 def cmd_extinctions(cfg: RunConfig) -> int:
-    alpha = _coerce_scalar(cfg.alpha)
+    alpha = scalar_from_json(cfg.alpha)
     if isinstance(alpha, float):
         raise ConfigError(
             "extinctions needs an exact alpha (integer, 'p/q' or 'a+b*sqrt2')"
@@ -383,8 +374,8 @@ def cmd_compare(cfg: RunConfig) -> int:
     _check_admissible(cfg, theta)
     patch = _build_patch(cfg)
     comb = deform_patch(patch, theta)
-    ks = leading_dual_elements(cfg.count)
-    table = compare_empirical_analytic(comb, theta, ks)
+    a4, b4 = dual_quarters(leading_dual_elements(cfg.count))
+    table = compare_empirical_analytic(comb, theta, a4, b4)
     out = Path(cfg.out)
     _write(out, "comparison.csv", table.to_csv())
     summary = {

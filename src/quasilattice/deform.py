@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -50,6 +51,30 @@ AFFINE_ALPHA_MAX = 3.0 + _SQRT2
 
 def _is_exact(v: Scalar) -> bool:
     return isinstance(v, (int, Fraction, AlgebraicNumber))
+
+
+def scalar_from_json(v: object) -> Scalar:
+    """A deformation parameter as a config or the command line gives it.
+
+    An int, Fraction or AlgebraicNumber stays exact and a float stays a
+    float; {"a", "b", "c"} with int entries is (a + b*sqrt2)/c.  A string
+    is read as an integer (exact), a decimal (a float) or an exact Q(sqrt2)
+    expression like '3-2*sqrt2' or '1/2'.
+    """
+    if isinstance(v, str):
+        if re.fullmatch(r"[+-]?\d+", v):
+            return int(v)
+        try:
+            return float(v)
+        except ValueError:
+            return parse_exact(v)
+    if isinstance(v, dict):
+        if set(v) != {"a", "b", "c"} or not all(type(x) is int for x in v.values()):
+            raise ValueError(f"an exact number is {{'a', 'b', 'c'}} with int entries, got {v!r}")
+        return AlgebraicNumber.from_json(v)
+    if isinstance(v, (int, float, Fraction, AlgebraicNumber)) and not isinstance(v, bool):
+        return v
+    raise TypeError(f"cannot read {v!r} as a number")
 
 
 def _scalar_float(v: Scalar) -> float:
@@ -196,14 +221,9 @@ DeformationMap = Union[AffineDeformation, PiecewiseLinearDeformation]
 def deformation_from_json(obj: dict) -> DeformationMap:
     kind = obj.get("kind")
     if kind == "affine":
-        def dec(v):
-            if isinstance(v, dict):
-                return AlgebraicNumber.from_json(v)
-            if isinstance(v, str):
-                return parse_exact(v)
-            return v
-
-        return AffineDeformation(dec(obj["alpha"]), dec(obj.get("beta", 0)))
+        return AffineDeformation(
+            scalar_from_json(obj["alpha"]), scalar_from_json(obj.get("beta", 0))
+        )
     if kind == "pwl":
         return PiecewiseLinearDeformation(
             tuple((float(y), float(v)) for y, v in obj["points"])

@@ -26,8 +26,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain
+from functools import cached_property, lru_cache
+from itertools import chain, repeat
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -47,6 +47,7 @@ from .deform import (
 from .quadfield import (
     AlgebraicNumber,
     CoefficientOverflowError,
+    column_reduced,
     column_values,
     dual_columns,
     enumerate_dual,
@@ -146,7 +147,7 @@ def weyl_sum(comb: DiracComb, k: float | AlgebraicNumber) -> complex:
     one-row call of ``weyl_sums`` for a dual-module k; any other k (a
     float, or a number off the dual module) takes the phase k*x directly."""
     if isinstance(k, AlgebraicNumber) and k.dual_coords() is not None:
-        return complex(weyl_sums(comb, *_dual_quarters([k]))[0])
+        return complex(weyl_sums(comb, *dual_quarters([k]))[0])
     if comb.radius <= 0:
         raise ValueError("comb radius must be positive")
     kv = np.array([k.value() if isinstance(k, AlgebraicNumber) else float(k)])
@@ -161,8 +162,9 @@ def _require_dual(k: AlgebraicNumber) -> tuple[int, int]:
     return mn
 
 
-def _dual_quarters(ks: Sequence[AlgebraicNumber]) -> tuple[np.ndarray, np.ndarray]:
-    """The quarter-scaled columns (a4, b4) of dual-module wave numbers."""
+def dual_quarters(ks: Sequence[AlgebraicNumber]) -> tuple[np.ndarray, np.ndarray]:
+    """The quarter-scaled columns (a4, b4) of dual-module wave numbers, the
+    form every spectrum function takes."""
     # quarter() refuses a number off the quarter-integers; fromiter builds
     # no list of tuples (a list of 7,801 raised the peak RSS of a diffract
     # run by 0.8 MiB)
@@ -241,7 +243,7 @@ def closed_form_amplitudes(
 def amplitude_closed(k: AlgebraicNumber, alpha: Scalar, beta: Scalar) -> complex:
     """Closed-form amplitude for the affine deformation family at one wave
     number; the one-row case of ``closed_form_amplitudes``."""
-    return closed_form_amplitudes(*_dual_quarters([k]), alpha, beta)[0]
+    return closed_form_amplitudes(*dual_quarters([k]), alpha, beta)[0]
 
 
 def _segments(theta: DeformationMap, window: Window) -> list[tuple[float, float]]:
@@ -327,12 +329,41 @@ def amplitude_quadrature(
 
 def _analytic_amplitudes(
     a4: np.ndarray, b4: np.ndarray, theta: DeformationMap
-) -> list[complex]:
+) -> np.ndarray:
     """Amplitudes at the dual-module columns: the sinc closed form for
     affine theta on the silver window, the per-segment one otherwise."""
     if isinstance(theta, AffineDeformation) and theta.window() == silver_window():
-        return closed_form_amplitudes(a4, b4, theta.alpha, theta.beta)
-    return segment_amplitudes(a4, b4, theta).tolist()
+        return np.array(closed_form_amplitudes(a4, b4, theta.alpha, theta.beta),
+                        dtype=np.complex128)
+    return segment_amplitudes(a4, b4, theta)
+
+
+def _moduli(z: np.ndarray) -> np.ndarray:
+    """|z| per row by Python's abs of a complex: np.abs and np.hypot may
+    differ from it in the last ulp, and the CSV files print every bit."""
+    return np.array([abs(v) for v in z.tolist()], dtype=np.float64)
+
+
+def _intensities(z: np.ndarray) -> np.ndarray:
+    """|z|^2 per row as abs(z) ** 2 in Python floats, for the reason
+    given at ``_moduli``."""
+    return np.array([abs(v) ** 2 for v in z.tolist()], dtype=np.float64)
+
+
+def _wave_numbers(a4: np.ndarray, b4: np.ndarray) -> list[AlgebraicNumber]:
+    return [AlgebraicNumber(a, b, 4) for a, b in zip(a4.tolist(), b4.tolist())]
+
+
+def _frozen_columns(obj: object, dtypes: dict[str, type]) -> None:
+    """Store the named fields of a frozen dataclass as read-only views of
+    one-dimensional columns of one length, with the given dtypes."""
+    cols = {name: np.asarray(getattr(obj, name), dtype=dt).view()
+            for name, dt in dtypes.items()}
+    if any(c.ndim != 1 or c.shape != cols["a4"].shape for c in cols.values()):
+        raise ValueError(f"{', '.join(cols)} must be columns of one length")
+    for name, col in cols.items():
+        col.flags.writeable = False
+        object.__setattr__(obj, name, col)
 
 
 def autocorrelation_finite(comb: DiracComb, max_points: int = 20000) -> DiracComb:
@@ -366,46 +397,61 @@ class SpectrumEntry:
     source: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
-    entries: tuple[SpectrumEntry, ...]
+    """Peaks at the dual-module wave numbers k = (a4 + b4*sqrt2)/4, as
+    columns.
+
+    Row i has the complex128 ``amplitude[i]`` and the ``intensity[i]``
+    |amplitude[i]|^2; every row comes from one ``source``.  The columns
+    are read-only; ``entries`` is an object view built on first use.
+    """
+
+    a4: np.ndarray
+    b4: np.ndarray
+    amplitude: np.ndarray
+    intensity: np.ndarray
+    source: str
     k_max: float
     intensity_floor: float
 
+    def __post_init__(self) -> None:
+        _frozen_columns(self, {"a4": np.int64, "b4": np.int64,
+                               "amplitude": np.complex128, "intensity": np.float64})
+
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.a4)
+
+    def k_values(self) -> np.ndarray:
+        """The float embedding of every wave number."""
+        return column_values(self.a4, self.b4)
+
+    @cached_property
+    def entries(self) -> tuple[SpectrumEntry, ...]:
+        """The rows as SpectrumEntry objects, built on first use."""
+        return tuple(map(SpectrumEntry, self.support(), self.amplitude.tolist(),
+                         self.intensity.tolist(), repeat(self.source)))
 
     def support(self) -> list[AlgebraicNumber]:
-        return [e.k for e in self.entries]
+        return _wave_numbers(self.a4, self.b4)
 
     def intensity_at(self, k: AlgebraicNumber) -> float | None:
-        for e in self.entries:
-            if e.k == k:
-                return e.intensity
-        return None
+        if 4 % k.c:
+            return None
+        a4, b4 = k.quarter()
+        hit = np.flatnonzero((self.a4 == a4) & (self.b4 == b4))
+        return float(self.intensity[hit[0]]) if len(hit) else None
 
     def to_csv(self) -> str:
+        a, b, c = column_reduced(self.a4, self.b4)
+        amp = self.amplitude
         return _csv(
             "k_float,k_a,k_b,k_c,amp_re,amp_im,intensity,source",
             "%.17g,%d,%d,%d,%.17g,%.17g,%.17g,%s",
-            (
-                (e.k.value(), e.k.a, e.k.b, e.k.c, e.amplitude.real,
-                 e.amplitude.imag, e.intensity, e.source)
-                for e in self.entries
-            ),
+            zip(self.k_values().tolist(), a.tolist(), b.tolist(), c.tolist(),
+                amp.real.tolist(), amp.imag.tolist(), self.intensity.tolist(),
+                repeat(self.source)),
         )
-
-    def to_json(self) -> list[dict]:
-        return [
-            {
-                "k": e.k.to_json(),
-                "k_float": e.k.value(),
-                "amplitude": [e.amplitude.real, e.amplitude.imag],
-                "intensity": e.intensity,
-                "source": e.source,
-            }
-            for e in self.entries
-        ]
 
 
 def scan_internal_bound(theta: DeformationMap, k_max: float, floor: float) -> float:
@@ -441,27 +487,18 @@ def spectrum_scan(
         raise ValueError("intensity_floor must be >= 0")
     a4, b4 = dual_columns(k_max, scan_internal_bound(theta, k_max, intensity_floor))
     amps = _analytic_amplitudes(a4, b4, theta)
-    entries = []
-    for a, b, amp in zip(a4.tolist(), b4.tolist(), amps):
-        intensity = abs(amp) ** 2
-        if intensity >= intensity_floor:
-            entries.append(
-                SpectrumEntry(AlgebraicNumber(a, b, 4), amp, intensity, "closed_form")
-            )
-    return Spectrum(tuple(entries), k_max, intensity_floor)
+    intensity = _intensities(amps)
+    keep = intensity >= intensity_floor
+    return Spectrum(a4[keep], b4[keep], amps[keep], intensity[keep], "closed_form",
+                    k_max, intensity_floor)
 
 
-def empirical_spectrum(
-    comb: DiracComb, k_values: Sequence[AlgebraicNumber]
-) -> Spectrum:
-    """Weyl-sum amplitudes of a finite comb at the given dual-module wave
-    numbers, all in one ``weyl_sums`` call."""
-    sums = weyl_sums(comb, *_dual_quarters(k_values)).tolist()
-    entries = tuple(
-        SpectrumEntry(k, s, abs(s) ** 2, "empirical") for k, s in zip(k_values, sums)
-    )
-    kmax = max((abs(k.value()) for k in k_values), default=0.0)
-    return Spectrum(entries, kmax, 0.0)
+def empirical_spectrum(comb: DiracComb, a4: np.ndarray, b4: np.ndarray) -> Spectrum:
+    """Weyl-sum amplitudes of a finite comb at the dual-module wave numbers
+    k = (a4 + b4*sqrt2)/4, all in one ``weyl_sums`` call."""
+    sums = weyl_sums(comb, a4, b4)
+    k_max = float(np.abs(column_values(a4, b4)).max(initial=0.0))
+    return Spectrum(a4, b4, sums, _intensities(sums), "empirical", k_max, 0.0)
 
 
 @dataclass(frozen=True)
@@ -576,53 +613,82 @@ class ComparisonRow:
         return abs(self.empirical - self.analytic)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComparisonTable:
-    rows: tuple[ComparisonRow, ...]
+    """Empirical and analytic amplitudes side by side at the dual-module
+    wave numbers k = (a4 + b4*sqrt2)/4, as read-only columns; ``rows`` is
+    an object view built on first use."""
 
-    @property
+    a4: np.ndarray
+    b4: np.ndarray
+    empirical: np.ndarray
+    analytic: np.ndarray
+
+    def __post_init__(self) -> None:
+        _frozen_columns(self, {"a4": np.int64, "b4": np.int64,
+                               "empirical": np.complex128, "analytic": np.complex128})
+
+    def __len__(self) -> int:
+        return len(self.a4)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ComparisonTable):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, name), getattr(other, name))
+                   for name in ("a4", "b4", "empirical", "analytic"))
+
+    @cached_property
+    def rows(self) -> tuple[ComparisonRow, ...]:
+        """The rows as ComparisonRow objects, built on first use."""
+        return tuple(map(ComparisonRow, _wave_numbers(self.a4, self.b4),
+                         self.empirical.tolist(), self.analytic.tolist()))
+
+    @cached_property
+    def error(self) -> np.ndarray:
+        """|empirical - analytic| per row, read-only like the columns."""
+        error = _moduli(self.empirical - self.analytic)
+        error.flags.writeable = False
+        return error
+
+    @cached_property
     def max_error(self) -> float:
-        return max((r.error for r in self.rows), default=0.0)
+        return float(self.error.max(initial=0.0))
 
-    @property
+    @cached_property
     def rms_error(self) -> float:
-        if not self.rows:
+        if not len(self):
             return 0.0
-        return math.sqrt(sum(r.error**2 for r in self.rows) / len(self.rows))
+        # the builtin sum adds in row order, as the figures were first
+        # computed; numpy's pairwise sum rounds differently
+        return math.sqrt(sum(e**2 for e in self.error.tolist()) / len(self))
 
     @classmethod
     def from_spectra(cls, empirical: Spectrum, analytic: Spectrum) -> ComparisonTable:
-        """Pair the entries of two spectra taken over the same support."""
-        if empirical.support() != analytic.support():
+        """Pair the rows of two spectra taken over the same support."""
+        if not (np.array_equal(empirical.a4, analytic.a4)
+                and np.array_equal(empirical.b4, analytic.b4)):
             raise ValueError("spectra to compare must share their support, in order")
-        return cls(
-            tuple(
-                ComparisonRow(e.k, e.amplitude, a.amplitude)
-                for e, a in zip(empirical.entries, analytic.entries)
-            )
-        )
+        return cls(analytic.a4, analytic.b4, empirical.amplitude, analytic.amplitude)
 
     def to_csv(self) -> str:
+        emp, ana = self.empirical, self.analytic
         return _csv(
             "k_float,emp_re,emp_im,ana_re,ana_im,abs_error",
             "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g",
-            (
-                (r.k.value(), r.empirical.real, r.empirical.imag,
-                 r.analytic.real, r.analytic.imag, r.error)
-                for r in self.rows
-            ),
+            zip(column_values(self.a4, self.b4).tolist(), emp.real.tolist(),
+                emp.imag.tolist(), ana.real.tolist(), ana.imag.tolist(),
+                self.error.tolist()),
         )
 
 
 def compare_empirical_analytic(
-    comb: DiracComb, theta: DeformationMap, k_list: Sequence[AlgebraicNumber]
+    comb: DiracComb, theta: DeformationMap, a4: np.ndarray, b4: np.ndarray
 ) -> ComparisonTable:
     """Per-k error table between the Weyl sum of a deformed comb and the
-    analytic amplitude of the deformation."""
-    a4, b4 = _dual_quarters(k_list)
+    analytic amplitude of the deformation at the dual-module wave numbers
+    k = (a4 + b4*sqrt2)/4."""
     amps = _analytic_amplitudes(a4, b4, theta)
-    sums = weyl_sums(comb, a4, b4).tolist()
-    return ComparisonTable(tuple(map(ComparisonRow, k_list, sums, amps)))
+    return ComparisonTable(a4, b4, weyl_sums(comb, a4, b4), amps)
 
 
 def leading_dual_elements(count: int, k_max: float = 2.0) -> list[AlgebraicNumber]:

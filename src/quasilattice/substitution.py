@@ -39,7 +39,7 @@ _M_BLOCK = 1 << 16
 def _csv(header: str, fmt: str, rows: Iterable[tuple]) -> str:
     """CSV text: the header line, then ``fmt % row`` for each row, ending in
     a newline.  Formats give floats 17 significant digits (%.17g)."""
-    return "\n".join([header, *(fmt % row for row in rows)]) + "\n"
+    return "\n".join([header, *map(fmt.__mod__, rows)]) + "\n"
 
 
 class PatchPoint(NamedTuple):

@@ -343,6 +343,55 @@ class TestConfigHandling:
         doc = json.loads(read(a / "deform_summary.json"))
         assert doc["deformation"]["beta"] == "1/4+0*sqrt2"
 
+    @pytest.mark.parametrize(
+        "command, outputs",
+        [("deform", ("deformed.csv", "deform_summary.json")), ("extinctions", ("extinctions.json",))],
+    )
+    @pytest.mark.parametrize(
+        "obj, text", [({"a": 3, "b": -2, "c": 1}, "3-2*sqrt2"), ({"a": 1, "b": 1, "c": 1}, "1+sqrt2")]
+    )
+    def test_top_level_json_object_alpha_matches_flag(self, tmp_path, command, outputs, obj, text):
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps({"alpha": obj}))
+        a, b = tmp_path / "a", tmp_path / "b"
+        common = ["--radius", "200", "--kmax", "2"]
+        assert run(command, *common, "--config", str(cfgfile), "--out", str(a)) == 0
+        assert run(command, *common, "--alpha", text, "--out", str(b)) == 0
+        for name in outputs:
+            assert read(a / name) == read(b / name)
+
+    def test_decimal_string_under_deformation_is_a_float(self, tmp_path):
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps(
+            {"deformation": {"kind": "affine", "alpha": "0.5", "beta": "0.1"}}
+        ))
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run("deform", "--radius", "200", "--config", str(cfgfile), "--out", str(a)) == 0
+        assert run("deform", "--radius", "200", "--alpha", "0.5", "--beta", "0.1",
+                   "--out", str(b)) == 0
+        for name in ("deformed.csv", "deform_summary.json"):
+            assert read(a / name) == read(b / name)
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ({"a": 1, "b": 0}, "an exact number is {'a', 'b', 'c'}"),
+            ({"a": 1.5, "b": 0, "c": 1}, "an exact number is {'a', 'b', 'c'}"),
+            (True, "cannot read True as a number"),
+            ([1, 2], "cannot read [1, 2] as a number"),
+        ],
+    )
+    @pytest.mark.parametrize("where", ["top", "deformation"])
+    def test_unreadable_config_scalar_exits_2(self, tmp_path, capsys, value, message, where):
+        cfgfile = tmp_path / "run.json"
+        doc = ({"alpha": value} if where == "top"
+               else {"deformation": {"kind": "affine", "alpha": value}})
+        cfgfile.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert run("deform", "--radius", "50", "--config", str(cfgfile), "--out", str(out)) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfgfile = tmp_path / "run.json"
         cfgfile.write_text(json.dumps({"radius": 50.0, "out": str(tmp_path / "a")}))

@@ -22,6 +22,7 @@ from quasilattice.diffraction import (
     autocorrelation_finite,
     compare_empirical_analytic,
     compensated_sum,
+    dual_quarters,
     empirical_spectrum,
     extinction_report,
     leading_dual_elements,
@@ -270,18 +271,18 @@ class TestExtinctions:
 
 class TestComparison:
     def test_empty_list(self, comb_r1000):
-        table = compare_empirical_analytic(comb_r1000, AffineDeformation(0, 0), [])
+        table = compare_empirical_analytic(comb_r1000, AffineDeformation(0, 0), *dual_quarters([]))
         assert table.rows == () and table.max_error == 0.0 and table.rms_error == 0.0
 
     def test_density_peak(self, comb_r1000):
         table = compare_empirical_analytic(
-            comb_r1000, AffineDeformation(0, 0), [A(0, 0, 1)]
+            comb_r1000, AffineDeformation(0, 0), *dual_quarters([A(0, 0, 1)])
         )
         assert table.max_error < 1e-3
 
     def test_csv(self, comb_r1000):
         table = compare_empirical_analytic(
-            comb_r1000, AffineDeformation(0, 0), leading_dual_elements(3)
+            comb_r1000, AffineDeformation(0, 0), *dual_quarters(leading_dual_elements(3))
         )
         lines = table.to_csv().strip().split("\n")
         assert lines[0].startswith("k_float,emp_re")
@@ -301,15 +302,17 @@ class TestComparison:
         spec = spectrum_scan(theta, 1.0, 1e-4)
         ks = spec.support()
         assert ks
-        table = ComparisonTable.from_spectra(empirical_spectrum(comb, ks), spec)
-        assert table == compare_empirical_analytic(comb, theta, ks)
+        table = ComparisonTable.from_spectra(empirical_spectrum(comb, *dual_quarters(ks)), spec)
+        assert table == compare_empirical_analytic(comb, theta, *dual_quarters(ks))
 
     def test_from_spectra_rejects_mismatched_support(self, comb_r1000):
         spec = spectrum_scan(AffineDeformation(0.5, 0), 1.0, 1e-4)
         ks = spec.support()
         for other in (ks[:-1], ks[::-1]):
             with pytest.raises(ValueError):
-                ComparisonTable.from_spectra(empirical_spectrum(comb_r1000, other), spec)
+                ComparisonTable.from_spectra(
+                    empirical_spectrum(comb_r1000, *dual_quarters(other)), spec
+                )
 
 
 def test_leading_dual_elements_ordering():
@@ -321,7 +324,7 @@ def test_leading_dual_elements_ordering():
 
 
 def test_empirical_spectrum_sources(comb_r1000):
-    spec = empirical_spectrum(comb_r1000, leading_dual_elements(4))
+    spec = empirical_spectrum(comb_r1000, *dual_quarters(leading_dual_elements(4)))
     assert all(e.source == "empirical" for e in spec.entries)
     assert len(spec) == 4
 
