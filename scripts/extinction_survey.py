@@ -25,7 +25,7 @@ def main() -> None:
         rep = extinction_report(alpha, args.kmax)
         print(
             f"{alpha.text():>16}  {len(rep.extinctions):8d}  "
-            f"{len(rep.survivors):8d}  {rep.span}"
+            f"{rep.survivor_count:8d}  {rep.span}"
         )
 
 

@@ -7,7 +7,6 @@ from .quadfield import (
     SILVER_MEAN,
     SILVER_MEAN_CONJ,
     SQRT2,
-    dual_pairing,
     enumerate_dual,
     exact_compare,
     parse_exact,
@@ -15,7 +14,6 @@ from .quadfield import (
 )
 from .substitution import (
     LabeledPatch,
-    PatchPoint,
     SubstitutionRule,
     fixed_point_patch,
     pf_data,
@@ -28,7 +26,6 @@ from .cutproject import (
     Window,
     hutchinson_step,
     hausdorff_distance,
-    is_member,
     project_patch,
     sigma_estimate,
     silver_ifs,
@@ -45,7 +42,6 @@ from .deform import (
     FixedKernel,
     LocalKernel,
     PiecewiseLinearDeformation,
-    alpha_for_ratio,
     deform_measure,
     deform_patch,
     delone_check,
@@ -58,16 +54,14 @@ from .diffraction import (
     ComparisonTable,
     ExtinctionReport,
     Spectrum,
-    SpectrumEntry,
     amplitude_closed,
     amplitude_quadrature,
     autocorrelation_finite,
     compare_empirical_analytic,
-    compensated_sum,
     dual_quarters,
     empirical_spectrum,
     extinction_report,
-    leading_dual_elements,
+    leading_dual_columns,
     spectrum_scan,
     weyl_sum,
     weyl_sums,

@@ -24,7 +24,6 @@ from .cutproject import (
     hausdorff_distance,
     ifs_from_json,
     ifs_to_json,
-    is_member,
     project_patch,
     sigma_estimate,
     silver_ifs,
@@ -47,10 +46,9 @@ from .deform import (
 from .diffraction import (
     ComparisonTable,
     compare_empirical_analytic,
-    dual_quarters,
     empirical_spectrum,
     extinction_report,
-    leading_dual_elements,
+    leading_dual_columns,
     spectrum_scan,
 )
 from .plotting import render_stem_svg
@@ -327,14 +325,14 @@ def cmd_sigma(cfg: RunConfig) -> int:
         raise ConfigError("sigma needs --shift 'm,n'")
     shift = _parse_shift(cfg.shift)
     window, _ = cfg.window_pair()
-    if not is_member(shift, window):
+    target = shift.star()
+    if not window.contains(target):
         raise ConfigError(f"shift {shift} is not a point of the model set")
     base = project_patch(cfg.radius + abs(shift.value()) + 1.0, window, None)
     patch = base.translate(-shift).trim(cfg.radius)
     region = sigma_estimate(patch, window)
     lo, hi = region.bounds()
     width = (hi - lo).value()
-    target = shift.star()
     contains = region.contains(target)
     doc = {
         "command": "sigma",
@@ -374,8 +372,7 @@ def cmd_compare(cfg: RunConfig) -> int:
     _check_admissible(cfg, theta)
     patch = _build_patch(cfg)
     comb = deform_patch(patch, theta)
-    a4, b4 = dual_quarters(leading_dual_elements(cfg.count))
-    table = compare_empirical_analytic(comb, theta, a4, b4)
+    table = compare_empirical_analytic(comb, theta, *leading_dual_columns(cfg.count))
     out = Path(cfg.out)
     _write(out, "comparison.csv", table.to_csv())
     summary = {

@@ -330,11 +330,6 @@ def solve_windows(
     return WindowSolution(current, iterations, step, verified)
 
 
-def is_member(x: AlgebraicNumber, window: Window) -> bool:
-    """Exact cut-and-project membership: star(x) inside the closed window."""
-    return window.contains(x.star())
-
-
 def project_patch(
     radius: float,
     window: Window | None = None,

@@ -346,9 +346,6 @@ class DiracComb:
         offset = _float_offsets(self.offset) + float(t)
         return DiracComb(self.a4, self.b4, offset, self.weight, radius)
 
-    def restrict(self, lo: float, hi: float) -> list[CombPoint]:
-        return [p for p in self.points if lo <= p.position_float() <= hi]
-
     def to_csv(self) -> str:
         header = "position_float,a,b,c,label,weight_re,weight_im"
         w = self.weight
@@ -499,11 +496,6 @@ def interval_ratio(alpha: float) -> float:
     return 1.0 + (1.0 - a) / (1.0 + a) * _SQRT2
 
 
-def alpha_for_ratio(rho: float) -> float:
-    """Inverse of interval_ratio."""
-    return (_SQRT2 + 1.0 - rho) / (_SQRT2 - 1.0 + rho)
-
-
 def delone_check(
     theta: DeformationMap, min_gap: float = 0.0
 ) -> tuple[bool, float]:
@@ -631,15 +623,14 @@ def detect_periods(
 
     The band radius r is the comb radius clipped to the actual extent of
     the points, so a deformation that pulls the boundary points inward
-    does not mask a genuine interior period.
+    does not mask a genuine interior period.  Each candidate is one
+    comparison of the band's positions and weights with those of the
+    points that translation by t moves into it.
     """
-    if len(comb.points) == 0:
+    pos, weight = comb.positions_float(), comb.weight
+    if not len(pos):
         return []
-    reach = min(
-        comb.radius,
-        -comb.points[0].position_float(),
-        comb.points[-1].position_float(),
-    )
+    reach = min(comb.radius, -float(pos[0]), float(pos[-1]))
     found: list[float] = []
     for t in candidates:
         if t <= 0:
@@ -647,18 +638,12 @@ def detect_periods(
         lo, hi = -reach + t, reach - t
         if lo >= hi:
             continue
-        core = comb.restrict(lo, hi)
-        shifted = [
-            (p.position_float() + t, p.weight)
-            for p in comb.points
-            if lo <= p.position_float() + t <= hi
-        ]
-        if len(core) != len(shifted):
+        moved = pos + t
+        core = (lo <= pos) & (pos <= hi)
+        shifted = (lo <= moved) & (moved <= hi)
+        if core.sum() != shifted.sum():
             continue
-        ok = all(
-            abs(c.position_float() - q) <= tol and abs(c.weight - w) <= tol
-            for c, (q, w) in zip(core, shifted)
-        )
-        if ok:
+        if ((np.abs(pos[core] - moved[shifted]) <= tol).all()
+                and (np.abs(weight[core] - weight[shifted]) <= tol).all()):
             found.append(t)
     return found

@@ -12,8 +12,8 @@ sum of such terms, one sinc times a phase per linear segment.  Every
 family thus has a closed form; composite Gauss-Legendre quadrature
 (``amplitude_quadrature``) is kept only as an independent cross-check.
 The amplitude vanishes off the dual module.  Empirical side: normalised
-exponential sums over finite patches, with compensated summation, plus
-the finite autocorrelation for Wiener-identity checks.
+exponential sums over finite patches, plus the finite autocorrelation for
+Wiener-identity checks.
 
 Extinctions (sin z = 0 with z != 0) are decided in exact arithmetic:
 for exact alpha = (R + S*sqrt2)/D and k = (a4 + b4*sqrt2)/4, z/pi is
@@ -50,7 +50,9 @@ from .quadfield import (
     column_reduced,
     column_values,
     dual_columns,
-    enumerate_dual,
+    # unused here, but looked up in this module (and timed) by
+    # perfbench/traced.py
+    enumerate_dual,  # noqa: F401
 )
 from .substitution import _csv
 
@@ -64,20 +66,6 @@ _WEYL_BLOCK = 1 << 12
 
 DEFAULT_PANELS = 4096
 DEFAULT_INTENSITY_FLOOR = 1e-8
-
-
-def compensated_sum(values: Iterable[complex]) -> complex:
-    """Neumaier-compensated complex summation."""
-    sr = cr = si = ci = 0.0
-    for v in values:
-        x, y = v.real, v.imag
-        t = sr + x
-        cr += (sr - t) + x if abs(sr) >= abs(x) else (x - t) + sr
-        sr = t
-        t = si + y
-        ci += (si - t) + y if abs(si) >= abs(y) else (y - t) + si
-        si = t
-    return complex(sr + cr, si + ci)
 
 
 def _divided(values: np.ndarray, norm: float) -> np.ndarray:
@@ -119,7 +107,7 @@ def weyl_sums(comb: DiracComb, a4: np.ndarray, b4: np.ndarray) -> np.ndarray:
 
     Each position is x_L + rest with x_L in Z[sqrt2] (``lattice_split``).
     For k in the dual module k*x_L + star(k)*star(x_L) is an integer
-    (``dual_pairing``), so e^{-2 pi i k x} = e^{2 pi i (k* x_L* - k rest)}:
+    (the dual pairing), so e^{-2 pi i k x} = e^{2 pi i (k* x_L* - k rest)}:
     the phase is bounded by the window and the offsets at any radius, and
     its rounding error with it.  A row whose |k*| is large against
     |k| * radius (a small comb scanned far out in k*) keeps the phase k*x,
@@ -350,10 +338,6 @@ def _intensities(z: np.ndarray) -> np.ndarray:
     return np.array([abs(v) ** 2 for v in z.tolist()], dtype=np.float64)
 
 
-def _wave_numbers(a4: np.ndarray, b4: np.ndarray) -> list[AlgebraicNumber]:
-    return [AlgebraicNumber(a, b, 4) for a, b in zip(a4.tolist(), b4.tolist())]
-
-
 def _frozen_columns(obj: object, dtypes: dict[str, type]) -> None:
     """Store the named fields of a frozen dataclass as read-only views of
     one-dimensional columns of one length, with the given dtypes."""
@@ -389,14 +373,6 @@ def autocorrelation_finite(comb: DiracComb, max_points: int = 20000) -> DiracCom
     return DiracComb(merged.a4, merged.b4, merged.offset, weight, comb.radius)
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
-    k: AlgebraicNumber
-    amplitude: complex
-    intensity: float
-    source: str
-
-
 @dataclass(frozen=True, eq=False)
 class Spectrum:
     """Peaks at the dual-module wave numbers k = (a4 + b4*sqrt2)/4, as
@@ -404,7 +380,7 @@ class Spectrum:
 
     Row i has the complex128 ``amplitude[i]`` and the ``intensity[i]``
     |amplitude[i]|^2; every row comes from one ``source``.  The columns
-    are read-only; ``entries`` is an object view built on first use.
+    are read-only.
     """
 
     a4: np.ndarray
@@ -425,22 +401,6 @@ class Spectrum:
     def k_values(self) -> np.ndarray:
         """The float embedding of every wave number."""
         return column_values(self.a4, self.b4)
-
-    @cached_property
-    def entries(self) -> tuple[SpectrumEntry, ...]:
-        """The rows as SpectrumEntry objects, built on first use."""
-        return tuple(map(SpectrumEntry, self.support(), self.amplitude.tolist(),
-                         self.intensity.tolist(), repeat(self.source)))
-
-    def support(self) -> list[AlgebraicNumber]:
-        return _wave_numbers(self.a4, self.b4)
-
-    def intensity_at(self, k: AlgebraicNumber) -> float | None:
-        if 4 % k.c:
-            return None
-        a4, b4 = k.quarter()
-        hit = np.flatnonzero((self.a4 == a4) & (self.b4 == b4))
-        return float(self.intensity[hit[0]]) if len(hit) else None
 
     def to_csv(self) -> str:
         a, b, c = column_reduced(self.a4, self.b4)
@@ -507,7 +467,7 @@ class ExtinctionReport:
     k_max: float
     kstar_max: float
     extinctions: tuple[AlgebraicNumber, ...]
-    survivors: tuple[AlgebraicNumber, ...]
+    survivor_count: int
     span: str
     span_basis: tuple[tuple[int, int], ...]
 
@@ -518,7 +478,7 @@ class ExtinctionReport:
             "kstar_max": self.kstar_max,
             "extinctions": [k.to_json() for k in self.extinctions],
             "extinction_floats": [k.value() for k in self.extinctions],
-            "survivor_count": len(self.survivors),
+            "survivor_count": self.survivor_count,
             "span": self.span,
             "span_basis": [list(v) for v in self.span_basis],
         }
@@ -529,7 +489,7 @@ SPAN_FULL_DUAL = "full_dual_module"
 SPAN_SUBLATTICE = "proper_sublattice"
 
 
-def _span_basis(vectors: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+def _span_basis(vectors: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     """Hermite-form basis ((a, b), (0, c)) of the sublattice of Z^2
     generated by the vectors; rows with zero entries are dropped."""
     row: list[int] | None = None  # the (a, b) row, a > 0
@@ -579,45 +539,24 @@ def extinction_report(
         kstar_max = max(2.0 * k_max, 1.0)
     a4, b4 = dual_columns(k_max, kstar_max)
     _, _, is_extinct = _exact_z_over_pi(a4, b4, aq)
-    extinct: list[AlgebraicNumber] = []
-    survive: list[AlgebraicNumber] = []
-    vectors: list[tuple[int, int]] = []
-    for a, b, x in zip(a4.tolist(), b4.tolist(), is_extinct.tolist()):
-        k = AlgebraicNumber(a, b, 4)
-        if x:
-            extinct.append(k)
-        else:
-            survive.append(k)
-            if (a, b) != (0, 0):
-                vectors.append((a // 2, b))
-    basis = _span_basis(vectors)
+    extinct = tuple(AlgebraicNumber(a, b, 4) for a, b in
+                    zip(a4[is_extinct].tolist(), b4[is_extinct].tolist()))
+    # the nonzero survivors as (m, n) with k = (2m + n*sqrt2)/4
+    live = ~is_extinct & ((a4 != 0) | (b4 != 0))
+    basis = _span_basis(zip((a4[live] // 2).tolist(), b4[live].tolist()))
     if basis == ((1, 0), (0, 1)):
         span = SPAN_FULL_DUAL
     elif basis == ((1, 0),):
         span = SPAN_HALF_INTEGERS
     else:
         span = SPAN_SUBLATTICE
-    return ExtinctionReport(
-        aq, k_max, kstar_max, tuple(extinct), tuple(survive), span, basis
-    )
-
-
-@dataclass(frozen=True)
-class ComparisonRow:
-    k: AlgebraicNumber
-    empirical: complex
-    analytic: complex
-
-    @property
-    def error(self) -> float:
-        return abs(self.empirical - self.analytic)
+    return ExtinctionReport(aq, k_max, kstar_max, extinct, len(a4) - len(extinct), span, basis)
 
 
 @dataclass(frozen=True, eq=False)
 class ComparisonTable:
     """Empirical and analytic amplitudes side by side at the dual-module
-    wave numbers k = (a4 + b4*sqrt2)/4, as read-only columns; ``rows`` is
-    an object view built on first use."""
+    wave numbers k = (a4 + b4*sqrt2)/4, as read-only columns."""
 
     a4: np.ndarray
     b4: np.ndarray
@@ -636,12 +575,6 @@ class ComparisonTable:
             return NotImplemented
         return all(np.array_equal(getattr(self, name), getattr(other, name))
                    for name in ("a4", "b4", "empirical", "analytic"))
-
-    @cached_property
-    def rows(self) -> tuple[ComparisonRow, ...]:
-        """The rows as ComparisonRow objects, built on first use."""
-        return tuple(map(ComparisonRow, _wave_numbers(self.a4, self.b4),
-                         self.empirical.tolist(), self.analytic.tolist()))
 
     @cached_property
     def error(self) -> np.ndarray:
@@ -691,11 +624,13 @@ def compare_empirical_analytic(
     return ComparisonTable(a4, b4, weyl_sums(comb, a4, b4), amps)
 
 
-def leading_dual_elements(count: int, k_max: float = 2.0) -> list[AlgebraicNumber]:
-    """First `count` dual-module elements ordered by (|k|, k)."""
+def leading_dual_columns(count: int, k_max: float = 2.0) -> tuple[np.ndarray, np.ndarray]:
+    """Quarter-scaled columns (a4, b4) of the first `count` dual-module
+    elements ordered by (|k|, k); ties keep the order of ``dual_columns``."""
     while True:
-        ks = enumerate_dual(k_max)
-        ks.sort(key=lambda k: (abs(k.value()), k.value()))
-        if len(ks) >= count:
-            return ks[:count]
+        a4, b4 = dual_columns(k_max)
+        if len(a4) >= count:
+            kv = column_values(a4, b4)
+            order = np.lexsort((kv, np.abs(kv)))[:count]
+            return a4[order], b4[order]
         k_max *= 2.0

@@ -96,11 +96,6 @@ class AlgebraicNumber:
         raise TypeError(f"cannot interpret {v!r} as an element of Q(sqrt2)")
 
     @classmethod
-    def from_pair(cls, m: int, n: int) -> AlgebraicNumber:
-        """m + n*sqrt2, an element of Z[sqrt2]."""
-        return cls(m, n, 1)
-
-    @classmethod
     def dual_element(cls, m: int, n: int) -> AlgebraicNumber:
         """m/2 + n*sqrt2/4 = (2m + n*sqrt2)/4, an element of the dual module."""
         return cls(2 * m, n, 4)
@@ -202,10 +197,6 @@ class AlgebraicNumber:
 
     def is_integer(self) -> bool:
         return self.c == 1 and self.b == 0
-
-    def lattice_coords(self) -> tuple[int, int] | None:
-        """(m, n) with self = m + n*sqrt2, or None if not in Z[sqrt2]."""
-        return (self.a, self.b) if self.c == 1 else None
 
     def quarter(self) -> tuple[int, int]:
         """(a4, b4) with self = (a4 + b4*sqrt2)/4; ValueError off the
@@ -311,12 +302,6 @@ def star(x: AlgebraicNumber) -> AlgebraicNumber:
 def exact_compare(x: AlgebraicNumber, y: AlgebraicNumber) -> int:
     """-1, 0 or +1 as x < y, x = y, x > y.  Never consults floats."""
     return (x - y).sign()
-
-
-def dual_pairing(k: AlgebraicNumber, x: AlgebraicNumber) -> AlgebraicNumber:
-    """k*x + star(k)*star(x); an integer whenever k is in the dual module
-    and x in Z[sqrt2]."""
-    return k * x + k.star() * x.star()
 
 
 def dual_columns(

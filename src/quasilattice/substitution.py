@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -40,12 +39,6 @@ def _csv(header: str, fmt: str, rows: Iterable[tuple]) -> str:
     """CSV text: the header line, then ``fmt % row`` for each row, ending in
     a newline.  Formats give floats 17 significant digits (%.17g)."""
     return "\n".join([header, *map(fmt.__mod__, rows)]) + "\n"
-
-
-class PatchPoint(NamedTuple):
-    position: AlgebraicNumber
-    label: str | None
-    weight: complex
 
 
 @dataclass(frozen=True)
@@ -208,23 +201,8 @@ class LabeledPatch:
     def __len__(self) -> int:
         return len(self.a4)
 
-    @cached_property
-    def points(self) -> tuple[PatchPoint, ...]:
-        """The points as unit-weight PatchPoint objects, built on first use."""
-        return tuple(
-            PatchPoint(pos, label, 1.0 + 0.0j)
-            for pos, label in zip(self.positions(), self.label.tolist())
-        )
-
-    def positions(self) -> list[AlgebraicNumber]:
-        """The positions as AlgebraicNumber objects, built on each call."""
-        return [AlgebraicNumber(a, b, 4) for a, b in zip(self.a4.tolist(), self.b4.tolist())]
-
     def positions_float(self) -> np.ndarray:
         return column_values(self.a4, self.b4)
-
-    def labels(self) -> list[str | None]:
-        return self.label.tolist()
 
     def translate(self, t: AlgebraicNumber) -> LabeledPatch:
         """Shift every point by t; the radius grows to keep points inside."""

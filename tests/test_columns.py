@@ -15,7 +15,6 @@ from hypothesis import given, strategies as st
 from quasilattice import cutproject, substitution
 from quasilattice.cutproject import (
     Window,
-    is_member,
     project_patch,
     silver_subwindows,
     silver_window,
@@ -31,7 +30,6 @@ from quasilattice.quadfield import (
 )
 from quasilattice.substitution import (
     LabeledPatch,
-    PatchPoint,
     SubstitutionRule,
     fixed_point_extent,
     fixed_point_patch,
@@ -39,10 +37,17 @@ from quasilattice.substitution import (
     substitute_power,
 )
 
+from reference import numbers
+
 A = AlgebraicNumber
 coeff = st.integers(-(COLUMN_LIMIT - 1), COLUMN_LIMIT - 1)
 small = st.integers(-24, 24)
 quarter = st.builds(lambda a, b: A(a, b, 4), small, small)
+
+
+def _points(patch):
+    """(position, label) per point of a patch."""
+    return list(zip(numbers(patch.a4, patch.b4), patch.label.tolist()))
 
 
 def _cols(nums):
@@ -127,10 +132,10 @@ def _brute_project(radius, window, subwindows):
     for m in range(-m_box, m_box + 1):
         for n in range(-n_box, n_box + 1):
             x = A(m, n, 1)
-            if abs(x).cmp_float(radius) > 0 or not is_member(x, window):
+            if abs(x).cmp_float(radius) > 0 or not window.contains(x.star()):
                 continue
             label = next(
-                (name for name, sub in sorted(subwindows.items()) if is_member(x, sub)),
+                (name for name, sub in sorted(subwindows.items()) if sub.contains(x.star())),
                 None,
             )
             pts.append((x, label))
@@ -158,7 +163,7 @@ project_radius = st.one_of(
 def test_project_patch_matches_brute_force(radius, window, subs):
     subwindows = {name: w for name, w in zip("abc", subs)}
     patch = project_patch(radius, window, subwindows)
-    assert [(p.position, p.label) for p in patch.points] == _brute_project(
+    assert _points(patch) == _brute_project(
         radius, window, subwindows
     )
 
@@ -167,7 +172,7 @@ def test_project_patch_matches_brute_force(radius, window, subs):
 def test_project_patch_silver_matches_brute_force(radius):
     subs = silver_subwindows()
     patch = project_patch(radius)
-    assert [(p.position, p.label) for p in patch.points] == _brute_project(
+    assert _points(patch) == _brute_project(
         radius, silver_window(), subs
     )
 
@@ -250,7 +255,7 @@ def test_fixed_point_patch_matches_scalar_sums(level):
     rule = silver_mean_rule()
     patch = fixed_point_patch(level)
     pts, extent = _scalar_fixed_point(level, rule)
-    assert [(p.position, p.label) for p in patch.points] == pts
+    assert _points(patch) == pts
     assert patch.radius == extent == fixed_point_extent(level)
 
 
@@ -258,7 +263,7 @@ def test_fixed_point_patch_matches_scalar_sums(level):
 def test_fixed_point_patch_general_rule(rule, level):
     pts, extent = _scalar_fixed_point(level, rule)
     patch = fixed_point_patch(level, rule)
-    assert [(p.position, p.label) for p in patch.points] == pts
+    assert _points(patch) == pts
     assert patch.radius == extent == fixed_point_extent(level, rule)
 
 
@@ -273,10 +278,10 @@ def test_fixed_point_patch_refuses_overflow_before_building():
 def test_translate_matches_scalar(t, radius):
     patch = project_patch(radius)
     moved = patch.translate(t)
-    assert moved.positions() == [x + t for x in patch.positions()]
-    assert moved.labels() == patch.labels()
+    assert numbers(moved.a4, moved.b4) == [x + t for x in numbers(patch.a4, patch.b4)]
+    assert moved.label.tolist() == patch.label.tolist()
     r = moved.radius
-    assert all(abs(x).cmp_float(r) <= 0 for x in moved.positions())
+    assert all(abs(x).cmp_float(r) <= 0 for x in numbers(moved.a4, moved.b4))
     assert r >= radius + abs(t.value())
 
 
@@ -285,7 +290,7 @@ def test_translate_exact_radius(t):
     patch = fixed_point_patch(3)
     moved = patch.translate(t)
     assert moved.radius == patch.radius + abs(t)
-    assert moved.positions() == [x + t for x in patch.positions()]
+    assert numbers(moved.a4, moved.b4) == [x + t for x in numbers(patch.a4, patch.b4)]
 
 
 @given(st.one_of(radius_float, quarter))
@@ -298,8 +303,8 @@ def test_trim_matches_scalar(radius):
             return (radius - abs(x)).sign() >= 0
         return abs(x).cmp_float(radius) <= 0
 
-    assert [(p.position, p.label) for p in trimmed.points] == [
-        (p.position, p.label) for p in patch.points if inside(p.position)
+    assert _points(trimmed) == [
+        (x, label) for x, label in _points(patch) if inside(x)
     ]
 
 
@@ -345,13 +350,14 @@ def test_columns_are_read_only():
         patch.a4[0] = 0
 
 
-# -- compatibility view and CSV --------------------------------------------------
+# -- CSV --------------------------------------------------
 
 def _scalar_csv(points):
-    """Reference writer: one value at a time, %.17g for floats, str() otherwise."""
+    """Reference writer over (position, label) pairs of unit weight: one
+    value at a time, %.17g for floats, str() otherwise."""
     def row(p):
-        pos, w = p.position, complex(p.weight)
-        return (pos.value(), pos.a, pos.b, pos.c, p.label or "", w.real, w.imag)
+        (pos, label), w = p, complex(1.0)
+        return (pos.value(), pos.a, pos.b, pos.c, label or "", w.real, w.imag)
 
     lines = ["position_float,a,b,c,label,weight_re,weight_im"]
     lines.extend(
@@ -364,12 +370,11 @@ def _scalar_csv(points):
 @given(quarter)
 def test_csv_matches_scalar_rows(t):
     patch = project_patch(20.0).translate(t)
-    assert all(isinstance(p, PatchPoint) and p.weight == 1.0 for p in patch.points)
-    assert patch.to_csv() == _scalar_csv(patch.points)
+    assert patch.to_csv() == _scalar_csv(_points(patch))
 
 
 def test_empty_patch():
     patch = LabeledPatch.from_points([], 1.0)
-    assert len(patch) == 0 and patch.points == () and patch.positions() == []
+    assert len(patch) == 0 and _points(patch) == []
     assert patch.to_csv() == "position_float,a,b,c,label,weight_re,weight_im\n"
     assert len(patch.trim(0.5)) == 0 and len(patch.translate(A(1, 0, 1))) == 0

@@ -28,13 +28,14 @@ from quasilattice.deform import (
 )
 from quasilattice.diffraction import (
     autocorrelation_finite,
-    compensated_sum,
-    leading_dual_elements,
+    leading_dual_columns,
     weyl_sum,
     weyl_sums,
 )
 from quasilattice.quadfield import AlgebraicNumber, CoefficientOverflowError, parse_exact
 from quasilattice.substitution import fixed_point_patch
+
+from reference import compensated_sum, numbers
 
 A = AlgebraicNumber
 
@@ -83,7 +84,7 @@ def _ref_merge_points(raw):
 
 def _ref_deform_patch(patch, theta):
     raw = []
-    for x in patch.positions():
+    for x in numbers(patch.a4, patch.b4):
         shift = _ref_evaluate(theta, x.star())
         pos = x + shift if isinstance(shift, A) else x.value() + shift
         raw.append((pos, 1.0 + 0.0j))
@@ -180,7 +181,8 @@ def test_deform_patch_matches_object_path(patch_name, theta_name):
 
 
 def test_pwl_sample_lands_on_breakpoints():
-    stars = {x.star().value() for x in project_patch(300.0).positions()}
+    patch = project_patch(300.0)
+    stars = {x.star().value() for x in numbers(patch.a4, patch.b4)}
     assert {_BREAK, 0.0} <= stars & {y for y, _ in _PWL.breakpoints}
 
 
@@ -332,7 +334,7 @@ def _columns(ks):
 
 
 # leading wave numbers and a few far out in k*, where a small comb keeps k*x
-KS = leading_dual_elements(40) + [A(2 * 40, -57, 4), A(-2 * 61, 86, 4), A(2 * 200, -283, 4)]
+KS = numbers(*leading_dual_columns(40)) + [A(2 * 40, -57, 4), A(-2 * 61, 86, 4), A(2 * 200, -283, 4)]
 
 
 @pytest.mark.parametrize("name", ["undeformed", "exact", "float", "pwl", "small"])

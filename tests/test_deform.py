@@ -11,7 +11,6 @@ from quasilattice.deform import (
     FixedKernel,
     LocalKernel,
     PiecewiseLinearDeformation,
-    alpha_for_ratio,
     deform_measure,
     deform_patch,
     deformation_from_json,
@@ -23,6 +22,8 @@ from quasilattice.deform import (
 )
 from quasilattice.quadfield import AlgebraicNumber, SILVER_MEAN, parse_exact
 from quasilattice.substitution import LabeledPatch
+
+from reference import numbers
 
 A = AlgebraicNumber
 SQRT2 = math.sqrt(2.0)
@@ -37,7 +38,7 @@ def patch200():
 class TestDeformPatch:
     def test_identity(self, patch200):
         comb = deform_patch(patch200, AffineDeformation(0, 0))
-        assert [p.position for p in comb.points] == patch200.positions()
+        assert [p.position for p in comb.points] == numbers(patch200.a4, patch200.b4)
 
     def test_alpha_one_gives_even_integers(self, patch200):
         comb = deform_patch(patch200, AffineDeformation(1, 0))
@@ -61,7 +62,7 @@ class TestDeformPatch:
 
     def test_exact_beta_shift(self, patch200):
         comb = deform_patch(patch200, AffineDeformation(0, SILVER_MEAN))
-        assert comb.points[0].position == patch200.points[0].position + SILVER_MEAN
+        assert comb.points[0].position == numbers(patch200.a4, patch200.b4)[0] + SILVER_MEAN
 
     def test_float_alpha_gives_float_positions(self, patch200):
         comb = deform_patch(patch200, AffineDeformation(0.5, 0.0))
@@ -77,8 +78,9 @@ class TestDeformPatch:
         comb = deform_patch(project_patch(20.0), theta)
         kinds = {isinstance(p.position, A) for p in comb.points}
         assert kinds == {exact}
-        expect = sorted(p.position.value() + float(theta.evaluate(p.position.star()))
-                        for p in project_patch(20.0).points)
+        patch = project_patch(20.0)
+        expect = sorted(x.value() + float(theta.evaluate(x.star()))
+                        for x in numbers(patch.a4, patch.b4))
         assert comb.positions_float() == pytest.approx(expect, abs=1e-12)
 
     def test_outside_domain_rejected(self):
@@ -138,7 +140,8 @@ class TestIntervalRatio:
 
     def test_inverse(self):
         for rho in (1.0, 2.0, 3.5):
-            assert interval_ratio(alpha_for_ratio(rho)) == pytest.approx(rho)
+            alpha = (SQRT2 + 1.0 - rho) / (SQRT2 - 1.0 + rho)  # the inverse, solved for alpha
+            assert interval_ratio(alpha) == pytest.approx(rho)
 
 
 class TestDensity:
@@ -232,7 +235,7 @@ class TestDeformMeasure:
         # of a point is readable off the gap to its successor
         r = 60.0
         patch = project_patch(r)
-        stars = sorted(p.position.star().value() for p in patch.points)
+        stars = sorted(x.star().value() for x in numbers(patch.a4, patch.b4))
         boundary = (SQRT2 - 2.0) / 2.0
         below = max(s for s in stars if s < boundary)
         above = min(s for s in stars if s > boundary)
@@ -249,8 +252,8 @@ class TestDeformMeasure:
         comb = DiracComb.from_patch(patch)
         posf = comb.positions_float()
         table = {
-            local_configuration(posf, i, 2.6): ((t_a if p.label == "a" else t_b, 1.0 + 0j),)
-            for i, p in enumerate(patch.points)
+            local_configuration(posf, i, 2.6): ((t_a if label == "a" else t_b, 1.0 + 0j),)
+            for i, label in enumerate(patch.label.tolist())
         }
         via_rule = deform_measure(comb, LocalKernel(2.6, table, ((0.0, 1.0 + 0j),)))
         core = r - 2.6
@@ -290,6 +293,57 @@ class TestDetectPeriods:
         comb = DiracComb.from_patch(patch200)
         with pytest.raises(ValueError):
             detect_periods(comb, [-1.0], 1e-9)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda p: deform_patch(p, AffineDeformation(1, 0)),
+            lambda p: deform_patch(p, AffineDeformation(A(3, -2, 1), 0)),
+            lambda p: deform_patch(p, AffineDeformation(0.5, 0.1)),
+            DiracComb.from_patch,
+            lambda p: deform_measure(
+                deform_patch(p, AffineDeformation(1, 0)),
+                LocalKernel(1.5, {}, ((A(0, 0, 1), 0.75 + 0j), (A(0, -1, 2), 0.25 + 0j))),
+            ),
+            lambda p: _comb_of_integers(-40, 40, 40.0),
+            lambda p: DiracComb.from_items([], 5.0),
+        ],
+        ids=["alpha-one", "rho-two", "float", "undeformed", "kernel", "integers", "empty"],
+    )
+    def test_matches_the_per_point_loop(self, patch200, build):
+        comb = build(patch200)
+        candidates = [0.5, 1.0, 2.0, 1 + SQRT2, LAMBDA.value(), 4.0, 2.0 + 1e-10, 6.0, 150.0, 500.0]
+        for tol in (1e-9, 1e-3, 0.3):
+            assert detect_periods(comb, candidates, tol) == _ref_detect_periods(comb, candidates, tol)
+
+
+def _ref_detect_periods(comb, candidates, tol):
+    """detect_periods as a loop over the CombPoint objects of the comb."""
+    if len(comb.points) == 0:
+        return []
+    reach = min(comb.radius, -comb.points[0].position_float(), comb.points[-1].position_float())
+    found = []
+    for t in candidates:
+        if t <= 0:
+            raise ValueError("period candidates must be positive")
+        lo, hi = -reach + t, reach - t
+        if lo >= hi:
+            continue
+        core = [p for p in comb.points if lo <= p.position_float() <= hi]
+        shifted = [
+            (p.position_float() + t, p.weight)
+            for p in comb.points
+            if lo <= p.position_float() + t <= hi
+        ]
+        if len(core) != len(shifted):
+            continue
+        ok = all(
+            abs(c.position_float() - q) <= tol and abs(c.weight - w) <= tol
+            for c, (q, w) in zip(core, shifted)
+        )
+        if ok:
+            found.append(t)
+    return found
 
 
 class TestDiracComb:

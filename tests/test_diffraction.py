@@ -21,15 +21,16 @@ from quasilattice.diffraction import (
     amplitude_quadrature,
     autocorrelation_finite,
     compare_empirical_analytic,
-    compensated_sum,
     dual_quarters,
     empirical_spectrum,
     extinction_report,
-    leading_dual_elements,
+    leading_dual_columns,
     spectrum_scan,
     weyl_sum,
 )
 from quasilattice.quadfield import AlgebraicNumber, SILVER_MEAN, enumerate_dual
+
+from reference import compensated_sum, numbers
 
 A = AlgebraicNumber
 SQRT2 = math.sqrt(2.0)
@@ -174,36 +175,36 @@ class TestAutocorrelation:
 class TestSpectrumScan:
     def test_undeformed_basics(self):
         spec = spectrum_scan(AffineDeformation(0, 0), 2.0, 1e-4)
-        center = spec.intensity_at(A(0, 0, 1))
+        by_k = dict(zip(numbers(spec.a4, spec.b4), spec.intensity.tolist()))
+        center = by_k.get(A(0, 0, 1))
         assert center == 0.25
-        by_k = {e.k: e.intensity for e in spec.entries}
         for k in by_k:
             assert by_k[-k] == pytest.approx(by_k[k], abs=1e-12)
 
     def test_alpha_one_support(self):
         spec = spectrum_scan(AffineDeformation(1, 0), 2.0, 1e-6)
         expect = [A(m, 0, 2) for m in range(-4, 5)]
-        assert spec.support() == expect
-        assert all(e.intensity == 0.25 for e in spec.entries)
+        assert numbers(spec.a4, spec.b4) == expect
+        assert all(v == 0.25 for v in spec.intensity.tolist())
 
     def test_sum_monotone_in_kmax_and_peak_bound(self):
         theta = AffineDeformation(0.5, 0.0)
         sums = [
-            sum(e.intensity for e in spectrum_scan(theta, km, 1e-6).entries)
+            sum(spectrum_scan(theta, km, 1e-6).intensity.tolist())
             for km in (1.0, 2.0, 3.0)
         ]
         assert sums[0] <= sums[1] <= sums[2]
         spec = spectrum_scan(theta, 3.0, 1e-6)
-        assert max(e.intensity for e in spec.entries) <= 0.25 + 1e-12
+        assert max(spec.intensity.tolist()) <= 0.25 + 1e-12
 
     def test_beta_independent_support(self):
         s0 = spectrum_scan(AffineDeformation(0.5, 0.0), 3.0, 1e-6)
         s1 = spectrum_scan(AffineDeformation(0.5, 0.37), 3.0, 1e-6)
-        assert s0.support() == s1.support()
+        assert numbers(s0.a4, s0.b4) == numbers(s1.a4, s1.b4)
 
     def test_rho_two_periodic_intensities(self):
         spec = spectrum_scan(AffineDeformation(A(3, -2, 1), 0), 3.0, 1e-8)
-        by_k = {e.k: e.intensity for e in spec.entries}
+        by_k = dict(zip(numbers(spec.a4, spec.b4), spec.intensity.tolist()))
         inv_lambda = A(2, 1, 4)  # 1/(4 - 2*sqrt2)
         pairs = [(k, k + inv_lambda) for k in by_k if (k + inv_lambda) in by_k]
         assert len(pairs) > 100
@@ -213,7 +214,7 @@ class TestSpectrumScan:
     def test_pwl_scan_sources(self):
         theta = PiecewiseLinearDeformation(((-0.8, 0.0), (0.1, 0.05), (0.8, 0.0)))
         spec = spectrum_scan(theta, 1.0, 1e-3)
-        assert spec.entries and all(e.source == "closed_form" for e in spec.entries)
+        assert len(spec) and spec.source == "closed_form"
 
     def test_csv_layout(self):
         spec = spectrum_scan(AffineDeformation(1, 0), 1.0, 1e-6)
@@ -272,7 +273,7 @@ class TestExtinctions:
 class TestComparison:
     def test_empty_list(self, comb_r1000):
         table = compare_empirical_analytic(comb_r1000, AffineDeformation(0, 0), *dual_quarters([]))
-        assert table.rows == () and table.max_error == 0.0 and table.rms_error == 0.0
+        assert len(table) == 0 and table.max_error == 0.0 and table.rms_error == 0.0
 
     def test_density_peak(self, comb_r1000):
         table = compare_empirical_analytic(
@@ -282,7 +283,7 @@ class TestComparison:
 
     def test_csv(self, comb_r1000):
         table = compare_empirical_analytic(
-            comb_r1000, AffineDeformation(0, 0), *dual_quarters(leading_dual_elements(3))
+            comb_r1000, AffineDeformation(0, 0), *leading_dual_columns(3)
         )
         lines = table.to_csv().strip().split("\n")
         assert lines[0].startswith("k_float,emp_re")
@@ -300,36 +301,45 @@ class TestComparison:
     def test_from_spectra_matches_direct_comparison(self, patch_r100, theta):
         comb = deform_patch(patch_r100, theta)
         spec = spectrum_scan(theta, 1.0, 1e-4)
-        ks = spec.support()
-        assert ks
-        table = ComparisonTable.from_spectra(empirical_spectrum(comb, *dual_quarters(ks)), spec)
-        assert table == compare_empirical_analytic(comb, theta, *dual_quarters(ks))
+        assert len(spec)
+        table = ComparisonTable.from_spectra(empirical_spectrum(comb, spec.a4, spec.b4), spec)
+        assert table == compare_empirical_analytic(comb, theta, spec.a4, spec.b4)
 
     def test_from_spectra_rejects_mismatched_support(self, comb_r1000):
         spec = spectrum_scan(AffineDeformation(0.5, 0), 1.0, 1e-4)
-        ks = spec.support()
-        for other in (ks[:-1], ks[::-1]):
+        for other in (slice(None, -1), slice(None, None, -1)):
             with pytest.raises(ValueError):
                 ComparisonTable.from_spectra(
-                    empirical_spectrum(comb_r1000, *dual_quarters(other)), spec
+                    empirical_spectrum(comb_r1000, spec.a4[other], spec.b4[other]), spec
                 )
 
 
 def test_leading_dual_elements_ordering():
-    ks = leading_dual_elements(9)
+    ks = numbers(*leading_dual_columns(9))
     vals = [abs(k.value()) for k in ks]
     assert vals == sorted(vals)
     assert len(set(ks)) == 9
     assert ks[0] == A(0, 0, 1)
 
 
+@pytest.mark.parametrize("count", [1, 9, 20, 200, 3000])
+def test_leading_dual_columns_match_the_stable_sort(count):
+    # the object path they replace: enumerate_dual sorted stably by
+    # (|k|, k), the bound doubled until it holds count elements
+    k_max = 2.0
+    while len(ks := enumerate_dual(k_max)) < count:
+        k_max *= 2.0
+    ks.sort(key=lambda k: (abs(k.value()), k.value()))
+    assert numbers(*leading_dual_columns(count)) == ks[:count]
+
+
 def test_empirical_spectrum_sources(comb_r1000):
-    spec = empirical_spectrum(comb_r1000, *dual_quarters(leading_dual_elements(4)))
-    assert all(e.source == "empirical" for e in spec.entries)
+    spec = empirical_spectrum(comb_r1000, *leading_dual_columns(4))
+    assert spec.source == "empirical"
     assert len(spec) == 4
 
 
-@given(st.integers(-60, 60), st.integers(-40, 40), st.sampled_from(leading_dual_elements(16)))
+@given(st.integers(-60, 60), st.integers(-40, 40), st.sampled_from(numbers(*leading_dual_columns(16))))
 def test_translation_multiplies_weyl_sums_by_a_phase(patch_r1000, m, n, k):
     """Translating by a lattice vector t and trimming back to the radius
     changes each Weyl sum by e^{-2 pi i k t}, up to the at most |t| + 1

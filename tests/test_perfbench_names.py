@@ -1,0 +1,44 @@
+"""The names the benchmark harness under perfbench/ looks up in the package
+still exist: the probes import them, and the traced run wraps them by name.
+``python -m pytest perfbench`` checks the harness in full but takes about a
+minute; these checks take well under a second."""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from importlib import import_module
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_probe_imports_resolve():
+    tree = ast.parse((ROOT / "perfbench" / "probes.py").read_text())
+    imports = [node for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("quasilattice")]
+    assert imports
+    missing = [f"{node.module}.{alias.name}" for node in imports for alias in node.names
+               if not hasattr(import_module(node.module), alias.name)]
+    assert not missing
+
+
+def test_traced_run_installs_its_wrappers(tmp_path):
+    spans = tmp_path / "spans.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "traced.py"), str(spans),
+         "diffract", "--radius", "20", "--alpha", "0.5", "--kmax", "1", "--floor", "1e-3",
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    doc = json.loads(spans.read_text())
+    assert doc["exit_code"] == 0 and doc["spans"]
+    # the deform_patch counter reads DiracComb.points
+    deform = [s for s in doc["spans"] if s[0] == "deform.deform_patch"]
+    assert deform and deform[0][4]["points"] > 0

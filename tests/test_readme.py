@@ -1,4 +1,5 @@
-"""The constants README's module table states match the code."""
+"""The constants README's module table states match the code, and its
+quick tour runs."""
 
 import re
 from pathlib import Path
@@ -25,3 +26,10 @@ def test_stated_block_size_matches_code(module, block):
     stated = re.findall(r"in blocks of 2\^(\d+)", _row(module))
     assert stated, f"README states no block size for {module}"
     assert [1 << int(e) for e in stated] == [block]
+
+
+def test_quick_tour_runs():
+    text = README.read_text()
+    section = text[text.index("## Library quick tour"):]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(block, "README quick tour", "exec"), {})

@@ -18,6 +18,7 @@ from hypothesis import given, strategies as st
 from quasilattice.deform import AffineDeformation
 from quasilattice.diffraction import (
     _exact_z_over_pi,
+    _span_basis,
     amplitude_closed,
     closed_form_amplitudes,
     extinction_report,
@@ -31,6 +32,8 @@ from quasilattice.quadfield import (
     enumerate_dual,
     parse_exact,
 )
+
+from reference import numbers
 
 A = AlgebraicNumber
 _SQRT2 = math.sqrt(2.0)
@@ -147,7 +150,7 @@ def test_dual_columns_refuse_overflow_before_allocating():
 # -- closed form -----------------------------------------------------------------
 
 _COLS = dual_columns(2.0, 6.0)
-_KS = [A(a, b, 4) for a, b in zip(_COLS[0].tolist(), _COLS[1].tolist())]
+_KS = numbers(*_COLS)
 
 exact_alpha = st.builds(
     A,
@@ -195,9 +198,45 @@ def test_extinction_report_matches_reference_mask(alpha):
     rep = extinction_report(alpha, 2.0, 6.0)
     _, extinct = _masks(alpha)
     assert _keys(rep.extinctions) == _keys(k for k, x in zip(_KS, extinct) if x)
-    assert _keys(rep.survivors) == _keys(k for k, x in zip(_KS, extinct) if not x)
+    assert rep.survivor_count == len([k for k, x in zip(_KS, extinct) if not x])
     for k in _KS:
         assert _bits([amplitude_closed(k, alpha, 0)]) == _bits([_reference_amplitude(k, alpha, 0)])
+
+
+def _ref_extinction_loop(alpha, k_max):
+    """The per-row loop extinction_report ran before it kept columns: one
+    AlgebraicNumber per enumerated wave number, extinct or surviving, and
+    the (m, n) of every nonzero survivor for the span."""
+    a4, b4 = dual_columns(k_max, max(2.0 * k_max, 1.0))
+    _, _, is_extinct = _exact_z_over_pi(a4, b4, alpha)
+    extinct, survive, vectors = [], [], []
+    for a, b, x in zip(a4.tolist(), b4.tolist(), is_extinct.tolist()):
+        k = A(a, b, 4)
+        if x:
+            extinct.append(k)
+        else:
+            survive.append(k)
+            if (a, b) != (0, 0):
+                vectors.append((a // 2, b))
+    return extinct, survive, _span_basis(vectors)
+
+
+_SURVEY = ("0", "1", "2", "1/2", "1/3", "1+sqrt2", "1+1/2*sqrt2", "3-2*sqrt2")
+
+
+@pytest.mark.parametrize(
+    "alpha,k_max,counts",
+    [*((a, 4.0, None) for a in _SURVEY), ("1", 30.0, (20242, 121)), ("3-2*sqrt2", 30.0, (0, 20363))],
+)
+def test_extinction_report_matches_the_object_loop(alpha, k_max, counts):
+    alpha = parse_exact(alpha)
+    rep = extinction_report(alpha, k_max)
+    extinct, survive, basis = _ref_extinction_loop(alpha, k_max)
+    assert _keys(rep.extinctions) == _keys(extinct)
+    assert rep.survivor_count == len(survive)
+    assert rep.span_basis == basis
+    if counts is not None:
+        assert (len(extinct), len(survive)) == counts
 
 
 def test_alpha_types_agree():
@@ -259,6 +298,6 @@ def test_scan_support_is_the_floor_filter_of_the_columns():
     ks = _scalar_enumerate_dual(2.0, scan_internal_bound(theta, 2.0, 1e-4))
     want = [(k, _reference_amplitude(k, theta.alpha, theta.beta)) for k in ks]
     want = [(k, a) for k, a in want if abs(a) ** 2 >= 1e-4]
-    assert _keys(spec.support()) == _keys(k for k, _ in want)
-    assert _bits(e.amplitude for e in spec.entries) == _bits(a for _, a in want)
-    assert all(e.source == "closed_form" for e in spec.entries)
+    assert _keys(numbers(spec.a4, spec.b4)) == _keys(k for k, _ in want)
+    assert _bits(spec.amplitude.tolist()) == _bits(a for _, a in want)
+    assert spec.source == "closed_form"

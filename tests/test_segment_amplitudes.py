@@ -25,6 +25,8 @@ from quasilattice.diffraction import (
 )
 from quasilattice.quadfield import AlgebraicNumber, column_values, dual_columns
 
+from reference import numbers
+
 A = AlgebraicNumber
 
 # the piecewise-linear profile of the benchmark's diffract-pwl workload
@@ -39,10 +41,6 @@ TWO_INTERVALS = Window.from_intervals([(A(-2, 0, 4), A(-1, 0, 4)), (A(1, 0, 4), 
 def _cols(ks):
     return (np.array([k.quarter()[0] for k in ks], dtype=np.int64),
             np.array([k.quarter()[1] for k in ks], dtype=np.int64))
-
-
-def _ks(a4, b4):
-    return [A(a, b, 4) for a, b in zip(a4.tolist(), b4.tolist())]
 
 
 def _mp_amplitude(k, theta):
@@ -93,7 +91,7 @@ def test_matches_quadrature(theta, k_max, kstar_max):
     assert delone_check(theta)[0]
     a4, b4 = dual_columns(k_max, kstar_max)
     amps = segment_amplitudes(a4, b4, theta)
-    for k, amp in zip(_ks(a4, b4), amps.tolist()):
+    for k, amp in zip(numbers(a4, b4), amps.tolist()):
         assert abs(amp - amplitude_quadrature(k, theta, panels=1024)) <= 1e-9, k
 
 
@@ -111,11 +109,11 @@ def test_sampled_affine_matches_the_sinc(alpha, beta):
 def test_profile_scan_support_equals_quadrature_scan():
     k_max, floor = 2.0, 4e-4
     spec = spectrum_scan(PROFILE, k_max, floor)
-    assert {e.source for e in spec.entries} == {"closed_form"}
+    assert spec.source == "closed_form"
     a4, b4 = dual_columns(k_max, scan_internal_bound(PROFILE, k_max, floor))
-    quad = [k for k in _ks(a4, b4)
+    quad = [k for k in numbers(a4, b4)
             if abs(amplitude_quadrature(k, PROFILE, panels=1024)) ** 2 >= floor]
-    assert spec.support() == quad
+    assert numbers(spec.a4, spec.b4) == quad
     assert len(quad) == 89
 
 
@@ -146,5 +144,5 @@ def test_bound_counts_every_interval_of_the_domain():
 def test_custom_domain_matches_quadrature(theta):
     spec = spectrum_scan(theta, 1.5, 1e-4)
     assert len(spec) > 10
-    for e in spec.entries:
-        assert abs(e.amplitude - amplitude_quadrature(e.k, theta)) <= 1e-12
+    for k, amplitude in zip(numbers(spec.a4, spec.b4), spec.amplitude.tolist()):
+        assert abs(amplitude - amplitude_quadrature(k, theta)) <= 1e-12

@@ -14,6 +14,8 @@ from quasilattice.substitution import (
     substitute_power,
 )
 
+from reference import numbers
+
 A = AlgebraicNumber
 S = SILVER_MEAN
 
@@ -66,7 +68,7 @@ def test_lengths_are_left_pf_eigenvector():
 
 def test_seed_patch_level0():
     patch = fixed_point_patch(0)
-    assert [(p.position, p.label) for p in patch.points] == [
+    assert list(zip(numbers(patch.a4, patch.b4), patch.label.tolist())) == [
         (-S, "a"),
         (A(0, 0, 1), "a"),
     ]
@@ -75,7 +77,8 @@ def test_seed_patch_level0():
 
 def test_patch_level1_right_half():
     patch = fixed_point_patch(1)
-    right = [(p.position, p.label) for p in patch.points if p.position.sign() >= 0]
+    right = [(x, label) for x, label in zip(numbers(patch.a4, patch.b4), patch.label.tolist())
+             if x.sign() >= 0]
     assert right == [
         (A(0, 0, 1), "a"),
         (A(1, 1, 1), "b"),
@@ -85,7 +88,7 @@ def test_patch_level1_right_half():
 
 def test_letter_frequencies_level12():
     patch = fixed_point_patch(12)
-    labels = patch.labels()
+    labels = patch.label.tolist()
     fa = labels.count("a") / len(labels)
     fb = labels.count("b") / len(labels)
     assert abs(fa - math.sqrt(2) / 2) < 0.01
@@ -94,22 +97,22 @@ def test_letter_frequencies_level12():
 
 @pytest.mark.parametrize("level", range(6))
 def test_self_similarity(level):
-    small = {p.position for p in fixed_point_patch(level).points}
-    big = {p.position for p in fixed_point_patch(level + 1).points}
+    small, big = fixed_point_patch(level), fixed_point_patch(level + 1)
+    small, big = set(numbers(small.a4, small.b4)), set(numbers(big.a4, big.b4))
     assert {S * x for x in small} <= big
 
 
 @pytest.mark.parametrize("level", range(6))
 def test_reflection_symmetry(level):
     patch = fixed_point_patch(level)
-    endpoints = {p.position for p in patch.points} | {patch.radius}
+    positions, labels = numbers(patch.a4, patch.b4), patch.label.tolist()
+    endpoints = set(positions) | {patch.radius}
     assert {-e for e in endpoints} == endpoints
     # the interval starting at p_i mirrors the one ending at -p_i
-    pts = patch.points
-    for i in range(len(pts) - 1):
-        mirrored = -pts[i + 1].position
-        label_at = {p.position: p.label for p in pts}
-        assert label_at[mirrored] == pts[i].label
+    for i in range(len(positions) - 1):
+        mirrored = -positions[i + 1]
+        label_at = dict(zip(positions, labels))
+        assert label_at[mirrored] == labels[i]
 
 
 def test_growth_rate_silver():
@@ -155,5 +158,6 @@ def test_csv_helper_format():
 def test_trim_and_translate():
     patch = fixed_point_patch(3)
     recentred = patch.translate(-S).trim(4.0)
-    assert all(abs(p.position.value()) <= 4.0 + 1e-12 for p in recentred.points)
-    assert any(p.position.is_zero() for p in recentred.points)
+    positions = numbers(recentred.a4, recentred.b4)
+    assert all(abs(x.value()) <= 4.0 + 1e-12 for x in positions)
+    assert any(x.is_zero() for x in positions)
