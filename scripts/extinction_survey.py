@@ -24,7 +24,7 @@ def main() -> None:
     for alpha in FAMILY:
         rep = extinction_report(alpha, args.kmax)
         print(
-            f"{alpha.text():>16}  {len(rep.extinctions):8d}  "
+            f"{alpha.text():>16}  {len(rep.a4):8d}  "
             f"{rep.survivor_count:8d}  {rep.span}"
         )
 

@@ -461,23 +461,38 @@ def empirical_spectrum(comb: DiracComb, a4: np.ndarray, b4: np.ndarray) -> Spect
     return Spectrum(a4, b4, sums, _intensities(sums), "empirical", k_max, 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtinctionReport:
+    """The extinct wave numbers k = (a4 + b4*sqrt2)/4 as read-only columns,
+    with the count and span of the survivors."""
+
     alpha: AlgebraicNumber
     k_max: float
     kstar_max: float
-    extinctions: tuple[AlgebraicNumber, ...]
+    a4: np.ndarray
+    b4: np.ndarray
     survivor_count: int
     span: str
     span_basis: tuple[tuple[int, int], ...]
 
+    def __post_init__(self) -> None:
+        _frozen_columns(self, {"a4": np.int64, "b4": np.int64})
+
+    @cached_property
+    def extinctions(self) -> tuple[AlgebraicNumber, ...]:
+        """The extinct wave numbers as AlgebraicNumbers, built on first use."""
+        return tuple(AlgebraicNumber(a, b, 4)
+                     for a, b in zip(self.a4.tolist(), self.b4.tolist()))
+
     def to_json(self) -> dict:
+        a, b, c = column_reduced(self.a4, self.b4)
         return {
             "alpha": self.alpha.text(),
             "k_max": self.k_max,
             "kstar_max": self.kstar_max,
-            "extinctions": [k.to_json() for k in self.extinctions],
-            "extinction_floats": [k.value() for k in self.extinctions],
+            "extinctions": [{"a": x, "b": y, "c": z}
+                            for x, y, z in zip(a.tolist(), b.tolist(), c.tolist())],
+            "extinction_floats": column_values(self.a4, self.b4).tolist(),
             "survivor_count": self.survivor_count,
             "span": self.span,
             "span_basis": [list(v) for v in self.span_basis],
@@ -539,8 +554,6 @@ def extinction_report(
         kstar_max = max(2.0 * k_max, 1.0)
     a4, b4 = dual_columns(k_max, kstar_max)
     _, _, is_extinct = _exact_z_over_pi(a4, b4, aq)
-    extinct = tuple(AlgebraicNumber(a, b, 4) for a, b in
-                    zip(a4[is_extinct].tolist(), b4[is_extinct].tolist()))
     # the nonzero survivors as (m, n) with k = (2m + n*sqrt2)/4
     live = ~is_extinct & ((a4 != 0) | (b4 != 0))
     basis = _span_basis(zip((a4[live] // 2).tolist(), b4[live].tolist()))
@@ -550,7 +563,8 @@ def extinction_report(
         span = SPAN_HALF_INTEGERS
     else:
         span = SPAN_SUBLATTICE
-    return ExtinctionReport(aq, k_max, kstar_max, extinct, len(a4) - len(extinct), span, basis)
+    return ExtinctionReport(aq, k_max, kstar_max, a4[is_extinct], b4[is_extinct],
+                            int(np.count_nonzero(~is_extinct)), span, basis)
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,21 +24,38 @@ def test_probe_imports_resolve():
     assert not missing
 
 
-def test_traced_run_installs_its_wrappers(tmp_path):
-    spans = tmp_path / "spans.json"
+def _run(script: str, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "traced.py"), str(spans),
-         "diffract", "--radius", "20", "--alpha", "0.5", "--kmax", "1", "--floor", "1e-3",
-         "--out", str(tmp_path / "out")],
+    return subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / script), *args],
         capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+def test_traced_run_installs_its_wrappers(tmp_path):
+    spans = tmp_path / "spans.json"
+    done = _run("traced.py", str(spans),
+                "diffract", "--radius", "20", "--alpha", "0.5", "--kmax", "1", "--floor", "1e-3",
+                "--out", str(tmp_path / "out"))
     assert done.returncode == 0, done.stderr
     doc = json.loads(spans.read_text())
     assert doc["exit_code"] == 0 and doc["spans"]
     # the deform_patch counter reads DiracComb.points
     deform = [s for s in doc["spans"] if s[0] == "deform.deform_patch"]
     assert deform and deform[0][4]["points"] > 0
+
+
+def test_setup_probe_runs(tmp_path):
+    # it reaches the CLI as ``from quasilattice import cli``, through the package root
+    done = _run("setup_probe.py", "generate", "--radius", "10", "--out", str(tmp_path))
+    assert done.returncode == 0, done.stderr
+
+
+def test_invoke_runs_and_records_peak_rss(tmp_path):
+    rss = tmp_path / "rss_kb"
+    done = _run("invoke.py", str(rss), "windows", "--out", str(tmp_path / "out"))
+    assert done.returncode == 0, done.stderr
+    assert int(rss.read_text()) > 0
