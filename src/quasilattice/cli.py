@@ -170,10 +170,17 @@ def load_config(path: str | None, overrides: dict[str, Any]) -> RunConfig:
     return cfg
 
 
+# characters per write: Path.write_text would encode the whole text at once
+_WRITE_CHUNK = 1 << 18
+
+
 def _write(out_dir: Path, name: str, text: str) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     target = out_dir / name
-    target.write_text(text)
+    # open's defaults are write_text's: locale encoding, newline translation
+    with open(target, "w") as f:
+        for s in range(0, len(text), _WRITE_CHUNK):
+            f.write(text[s:s + _WRITE_CHUNK])
     return target
 
 

@@ -19,8 +19,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import lcm
-from typing import Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .quadfield import (
     column_values,
     parse_exact,
 )
-from .substitution import LabeledPatch, _csv
+from .substitution import LabeledPatch, _blocks, _csv
 
 Position = Union[AlgebraicNumber, float]
 ExactScalar = Union[int, Fraction, AlgebraicNumber]
@@ -348,13 +349,17 @@ class DiracComb:
 
     def to_csv(self) -> str:
         header = "position_float,a,b,c,label,weight_re,weight_im"
-        w = self.weight
-        pos = self._positions.tolist()
-        if self.is_exact:
-            a, b, c = column_reduced(*self.exact_columns())
-            rows = zip(pos, a.tolist(), b.tolist(), c.tolist(), w.real.tolist(), w.imag.tolist())
-            return _csv(header, "%.17g,%d,%d,%d,,%.17g,%.17g", rows)
-        return _csv(header, "%.17g,,,,,%.17g,%.17g", zip(pos, w.real.tolist(), w.imag.tolist()))
+
+        def rows(s: slice) -> Iterator[tuple]:
+            pos, w = self._positions[s].tolist(), self.weight[s]
+            if not self.is_exact:
+                return zip(pos, w.real.tolist(), w.imag.tolist())
+            offset = self.offset[:, s]
+            a, b, c = column_reduced(self.a4[s] + offset[0], self.b4[s] + offset[1])
+            return zip(pos, a.tolist(), b.tolist(), c.tolist(), w.real.tolist(), w.imag.tolist())
+
+        fmt = "%.17g,%d,%d,%d,,%.17g,%.17g" if self.is_exact else "%.17g,,,,,%.17g,%.17g"
+        return _csv(header, fmt, chain.from_iterable(map(rows, _blocks(len(self)))))
 
     @classmethod
     def from_patch(cls, patch: LabeledPatch) -> DiracComb:

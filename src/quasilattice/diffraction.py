@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, repeat
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -54,7 +54,7 @@ from .quadfield import (
     # perfbench/traced.py
     enumerate_dual,  # noqa: F401
 )
-from .substitution import _csv
+from .substitution import _blocks, _csv
 
 _SQRT2 = math.sqrt(2.0)
 _TWO_SQRT2 = 2.0 * _SQRT2
@@ -403,14 +403,17 @@ class Spectrum:
         return column_values(self.a4, self.b4)
 
     def to_csv(self) -> str:
-        a, b, c = column_reduced(self.a4, self.b4)
-        amp = self.amplitude
+        def rows(s: slice) -> Iterator[tuple]:
+            a4, b4, amp = self.a4[s], self.b4[s], self.amplitude[s]
+            a, b, c = column_reduced(a4, b4)
+            return zip(column_values(a4, b4).tolist(), a.tolist(), b.tolist(), c.tolist(),
+                       amp.real.tolist(), amp.imag.tolist(), self.intensity[s].tolist(),
+                       repeat(self.source))
+
         return _csv(
             "k_float,k_a,k_b,k_c,amp_re,amp_im,intensity,source",
             "%.17g,%d,%d,%d,%.17g,%.17g,%.17g,%s",
-            zip(self.k_values().tolist(), a.tolist(), b.tolist(), c.tolist(),
-                amp.real.tolist(), amp.imag.tolist(), self.intensity.tolist(),
-                repeat(self.source)),
+            chain.from_iterable(map(rows, _blocks(len(self)))),
         )
 
 
@@ -618,13 +621,16 @@ class ComparisonTable:
         return cls(analytic.a4, analytic.b4, empirical.amplitude, analytic.amplitude)
 
     def to_csv(self) -> str:
-        emp, ana = self.empirical, self.analytic
+        def rows(s: slice) -> Iterator[tuple]:
+            emp, ana = self.empirical[s], self.analytic[s]
+            return zip(column_values(self.a4[s], self.b4[s]).tolist(), emp.real.tolist(),
+                       emp.imag.tolist(), ana.real.tolist(), ana.imag.tolist(),
+                       self.error[s].tolist())
+
         return _csv(
             "k_float,emp_re,emp_im,ana_re,ana_im,abs_error",
             "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g",
-            zip(column_values(self.a4, self.b4).tolist(), emp.real.tolist(),
-                emp.imag.tolist(), ana.real.tolist(), ana.imag.tolist(),
-                self.error.tolist()),
+            chain.from_iterable(map(rows, _blocks(len(self)))),
         )
 
 

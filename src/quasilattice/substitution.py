@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from itertools import chain, islice
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -34,11 +35,27 @@ from .quadfield import (
 # patches up to 65,536 points take one block
 _M_BLOCK = 1 << 16
 
+# rows per block of CSV formatting: a block's row lists stay near half a
+# MiB, so a writer holds one block besides the text it returns
+_CSV_BLOCK = 1 << 12
+
+
+def _blocks(n: int) -> Iterator[slice]:
+    """Slices of ``range(n)``, ``_CSV_BLOCK`` rows each: writers format one
+    column slice at a time."""
+    return (slice(s, s + _CSV_BLOCK) for s in range(0, n, _CSV_BLOCK))
+
 
 def _csv(header: str, fmt: str, rows: Iterable[tuple]) -> str:
     """CSV text: the header line, then ``fmt % row`` for each row, ending in
-    a newline.  Formats give floats 17 significant digits (%.17g)."""
-    return "\n".join([header, *map(fmt.__mod__, rows)]) + "\n"
+    a newline.  Formats give floats 17 significant digits (%.17g).  Rows
+    are formatted and joined ``_CSV_BLOCK`` at a time."""
+    lines = map(fmt.__mod__, rows)
+    parts = [header]
+    for first in lines:
+        parts.append("\n".join(chain((first,), islice(lines, _CSV_BLOCK - 1))))
+    parts.append("")  # the final newline, without copying the text once more
+    return "\n".join(parts)
 
 
 @dataclass(frozen=True)
@@ -224,17 +241,16 @@ class LabeledPatch:
         return LabeledPatch(self.a4[keep], self.b4[keep], self.label[keep], radius)
 
     def to_csv(self) -> str:
-        a, b, c = column_reduced(self.a4, self.b4)
-        rows = zip(
-            self.positions_float().tolist(),
-            a.tolist(),
-            b.tolist(),
-            c.tolist(),
-            [label or "" for label in self.label.tolist()],
-        )
+        def rows(s: slice) -> Iterator[tuple]:
+            a4, b4 = self.a4[s], self.b4[s]
+            a, b, c = column_reduced(a4, b4)
+            return zip(column_values(a4, b4).tolist(), a.tolist(), b.tolist(), c.tolist(),
+                       [label or "" for label in self.label[s].tolist()])
+
         # unit weights: %.17g of 1.0 and 0.0
         return _csv(
-            "position_float,a,b,c,label,weight_re,weight_im", "%.17g,%d,%d,%d,%s,1,0", rows
+            "position_float,a,b,c,label,weight_re,weight_im", "%.17g,%d,%d,%d,%s,1,0",
+            chain.from_iterable(map(rows, _blocks(len(self)))),
         )
 
     @classmethod

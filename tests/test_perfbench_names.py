@@ -46,6 +46,11 @@ def test_traced_run_installs_its_wrappers(tmp_path):
     # the deform_patch counter reads DiracComb.points
     deform = [s for s in doc["spans"] if s[0] == "deform.deform_patch"]
     assert deform and deform[0][4]["points"] > 0
+    # the _write counter encodes its text argument: the bytes of every file written
+    written = [s[4]["bytes"] for s in doc["spans"] if s[0] == "cli._write"]
+    files = list((tmp_path / "out").iterdir())
+    assert len(written) == len(files) > 0
+    assert sum(written) == sum(p.stat().st_size for p in files)
 
 
 def test_setup_probe_runs(tmp_path):

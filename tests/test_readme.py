@@ -28,6 +28,10 @@ def test_stated_block_size_matches_code(module, block):
     assert [1 << int(e) for e in stated] == [block]
 
 
+def test_stated_csv_block_matches_code():
+    assert f"formatted {substitution._CSV_BLOCK:,} rows at a time" in README.read_text()
+
+
 def test_quick_tour_runs():
     text = README.read_text()
     section = text[text.index("## Library quick tour"):]
